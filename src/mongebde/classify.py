@@ -72,10 +72,13 @@ class ClassReport:
 
 def _surface_poly(f: "SurfaceFamily | Poly", params: tuple = (0, 0)) -> tuple[Poly, int]:
     if isinstance(f, SurfaceFamily):
-        return f.at_params(*params), f.trunc_deg
-    # A bare Poly is an exact polynomial, not a truncated jet: every
-    # coefficient beyond its degree really is zero.
-    return f, 10**9
+        g, trunc_deg = f.at_params(*params), f.trunc_deg
+    else:
+        # A bare Poly is an exact polynomial, not a truncated jet: every
+        # coefficient beyond its degree really is zero.
+        g, trunc_deg = f, 10**9
+    # The classifier differentiates in x and y even when one of them is absent.
+    return unify(g, Poly.zero(("x", "y")))[0], trunc_deg
 
 
 def _coeff(f: Poly, i: int, j: int) -> Fraction:

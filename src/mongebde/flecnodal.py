@@ -17,7 +17,7 @@ from fractions import Fraction
 from .bde import asymptotic_bde, discriminant
 from .errors import UsageError
 from .families import SurfaceFamily
-from .poly import Poly, eta, normalize_primitive, resultant, substitute, unify
+from .poly import _VAR_INDEX, Poly, eta, normalize_primitive, resultant, substitute, unify
 
 
 def _as_family(f: "SurfaceFamily | Poly") -> SurfaceFamily:
@@ -71,7 +71,7 @@ def flecnodal_system(f: "SurfaceFamily | Poly", axis: str | None = None) -> Flec
             "the flecnodal eliminant may miss a branch",
             stacklevel=2,
         )
-    need = tuple(sorted(set(g.varlist) | {"x", "y", "v", "w"}, key=_canon_index))
+    need = tuple(sorted(set(g.varlist) | {"x", "y", "v", "w"}, key=_VAR_INDEX.__getitem__))
     gx = g.extend(need)
     v = Poly.var("v", need)
     w = Poly.var("w", need)
@@ -87,12 +87,6 @@ def flecnodal_system(f: "SurfaceFamily | Poly", axis: str | None = None) -> Flec
     e4 = eta_axis(e3)
     elim = normalize_primitive(resultant(e2, e3, "v"))
     return FlecnodalSystem(axis=axis, lam=lam, e2=e2, e3=e3, e4=e4, eliminant=elim)
-
-
-def _canon_index(name: str) -> int:
-    from .poly import VARS
-
-    return VARS.index(name)
 
 
 def graph_series(curve: Poly, max_deg: int, solve_for: str = "y") -> Poly:

@@ -7,6 +7,17 @@ never enters this module.  Curve equations are compared after
 ``normalize_primitive``, which divides out the integer content and fixes
 the sign of the graded-lex leading coefficient.
 
+``Poly`` validates what it is given; arithmetic results go through the
+trusted ``Poly._make`` instead.  The two expensive operations,
+``resultant`` and ``divexact``, leave ``Poly`` altogether: they clear
+denominators once, run an integer kernel on plain term dicts whose
+exponent tuples are packed into single ints (``_Packing``), and convert
+back to a ``Poly`` once at the end.  The resultant is the determinant of
+the Sylvester matrix by fraction-free elimination (Bareiss 1968,
+*Sylvester's identity and multistep integer-preserving Gaussian
+elimination*, Math. Comp. 22), so every division in it is exact over the
+integers.
+
 Truncation is graded: by default only ``x`` and ``y`` carry weight 1 and
 the parameters ``v, w, t, u`` carry weight 0, so truncating a family keeps
 its full parameter dependence.
@@ -17,8 +28,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from math import gcd, inf
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UsageError
 
@@ -73,6 +85,20 @@ class Poly:
         object.__setattr__(self, "terms", {e: c for e, c in tm.items() if c != 0})
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _make(cls, varlist: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "Poly":
+        """Trusted constructor for arithmetic results.
+
+        ``varlist`` must already be canonical and ``terms`` must map
+        exponent tuples of the right length to nonzero ``Fraction``s; the
+        dict is neither checked nor copied.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "varlist", varlist)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
 
@@ -116,10 +142,6 @@ class Poly:
         i = self._index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def weighted_degree(self, weights: Mapping[str, int] | None = None) -> int:
-        wts = self._weight_vector(weights)
-        return max((sum(k * w for k, w in zip(e, wts)) for e in self.terms), default=0)
-
     def _index(self, var: str) -> int:
         try:
             return self.varlist.index(var)
@@ -145,13 +167,13 @@ class Poly:
             for k, p in zip(e, pos):
                 new[p] = k
             terms[tuple(new)] = c
-        return Poly(vs, terms)
+        return Poly._make(vs, terms)
 
     def restrict(self) -> "Poly":
         """Drop variables that do not occur in any term."""
         used = [i for i in range(len(self.varlist)) if any(e[i] for e in self.terms)]
         vs = tuple(self.varlist[i] for i in used)
-        return Poly(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
+        return Poly._make(vs, {tuple(e[i] for i in used): c for e, c in self.terms.items()})
 
     # -- comparison --------------------------------------------------------
 
@@ -183,14 +205,18 @@ class Poly:
         self._require_same(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.varlist, terms)
+            s = terms.get(e, 0) + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return Poly._make(self.varlist, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.varlist, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.varlist, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
         return self.__add__(-self._coerce(other))
@@ -205,8 +231,8 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.varlist, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly._make(self.varlist, {e: c for e, c in terms.items() if c})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -226,7 +252,9 @@ class Poly:
 
     def scale(self, c: Fraction | int) -> "Poly":
         c = Fraction(c)
-        return Poly(self.varlist, {e: c * k for e, k in self.terms.items()})
+        if not c:
+            return Poly._make(self.varlist, {})
+        return Poly._make(self.varlist, {e: c * k for e, k in self.terms.items()})
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -245,9 +273,8 @@ class Poly:
                 continue
             new = list(e)
             new[i] -= 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + c * e[i]
-        return Poly(self.varlist, terms)
+            terms[tuple(new)] = c * e[i]
+        return Poly._make(self.varlist, terms)
 
     def integrate(self, var: str) -> "Poly":
         """Formal term-wise antiderivative in ``var`` (constant of integration 0)."""
@@ -257,7 +284,7 @@ class Poly:
             new = list(e)
             new[i] += 1
             terms[tuple(new)] = c / new[i]
-        return Poly(self.varlist, terms)
+        return Poly._make(self.varlist, terms)
 
     # -- evaluation and coefficients --------------------------------------
 
@@ -275,10 +302,8 @@ class Poly:
         rest = tuple(name for j, name in enumerate(self.varlist) if j != i)
         out: dict[int, dict[Exponent, Fraction]] = {}
         for e, c in self.terms.items():
-            key = e[i]
-            sub = tuple(k for j, k in enumerate(e) if j != i)
-            out.setdefault(key, {})[sub] = out.get(key, {}).get(sub, Fraction(0)) + c
-        return {k: Poly(rest, tm) for k, tm in out.items()}
+            out.setdefault(e[i], {})[e[:i] + e[i + 1 :]] = c
+        return {k: Poly._make(rest, tm) for k, tm in out.items()}
 
     def eval_rational(self, values: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -312,7 +337,7 @@ class Poly:
             for e, c in self.terms.items()
             if sum(k * w for k, w in zip(e, wts)) <= max_degree
         }
-        return Poly(self.varlist, keep)
+        return Poly._make(self.varlist, keep)
 
     # -- ordering and printing --------------------------------------------
 
@@ -428,11 +453,7 @@ def substitute(
 
 def _content(p: Poly) -> Fraction:
     """Positive rational c such that p/c has integer coefficients with gcd 1."""
-    nums = [abs(c.numerator) for c in p.terms.values()]
-    dens = [c.denominator for c in p.terms.values()]
-    g = reduce(gcd, nums)
-    l = reduce(_lcm, dens)
-    return Fraction(g, l)
+    return Fraction(reduce(gcd, (abs(c.numerator) for c in p.terms.values())), _denominator_lcm(p))
 
 
 def _lcm(a: int, b: int) -> int:
@@ -454,25 +475,142 @@ def normalize_primitive(p: Poly) -> Poly:
     return p.scale(1 / c)
 
 
+# -- integer kernel ----------------------------------------------------------
+#
+# ``resultant`` and ``divexact`` work on term dicts {packed exponent: int}.
+# An exponent tuple packs into one int: field i holds e_i in ``width_i``
+# bits topped by a guard bit that is zero in every stored exponent, and the
+# first variable sits in the most significant field.  Integer order is then
+# lex order, a monomial order, and exponent addition is integer addition as
+# long as no field overflows, which the widths chosen by the caller rule
+# out.  Subtraction sets the guard bits first and reads a cleared one as a
+# borrow, i.e. a negative exponent.
+
+
+class _Packing:
+    """Packs exponent tuples whose entries never exceed ``max_degrees``."""
+
+    __slots__ = ("shifts", "masks", "guard", "full")
+
+    def __init__(self, max_degrees: Sequence[int]):
+        shifts: list[int] = []
+        masks: list[int] = []
+        guard = full = shift = 0
+        for d in reversed(max_degrees):
+            width = max(d, 1).bit_length()
+            shifts.append(shift)
+            masks.append((1 << width) - 1)
+            full |= masks[-1] << shift
+            guard |= 1 << (shift + width)
+            shift += width + 1
+        self.shifts = tuple(reversed(shifts))
+        self.masks = tuple(reversed(masks))
+        self.guard = guard
+        self.full = full  # every field at its maximum
+
+    def pack(self, exp: Sequence[int]) -> int:
+        return sum(k << s for k, s in zip(exp, self.shifts))
+
+    def unpack(self, e: int) -> Exponent:
+        return tuple((e >> s) & m for s, m in zip(self.shifts, self.masks))
+
+
+def _denominator_lcm(p: Poly) -> int:
+    return reduce(_lcm, (c.denominator for c in p.terms.values()), 1)
+
+
+def _integer_terms(p: Poly, pack: _Packing, scale: int) -> dict[int, int]:
+    """scale * p as packed integer terms; ``scale`` must clear p's denominators."""
+    return {pack.pack(e): c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+
+
+def _divide_terms(num: dict[int, int], den: dict[int, int], limit: int, guard: int) -> dict[int, int]:
+    """Exact quotient num / den of packed integer term dicts.
+
+    The remainder is one mutable dict, scanned from its largest exponent
+    down through a heap; each quotient term qc * x^qe subtracts qc * den
+    from it term by term.  Raises ``UsageError("inexact polynomial
+    division")`` when a remainder's leading term is not divisible by den's,
+    or a quotient exponent exceeds ``limit`` in some field, or a coefficient
+    quotient is not an integer.  When den divides num with an integer
+    quotient, as in every Bareiss step and, by Gauss's lemma, whenever den
+    is primitive and divides num over the rationals, none of these fires.
+    """
+    lead = max(den)
+    lead_c = den[lead]
+    tail = [(e, c) for e, c in den.items() if e != lead]
+    ceiling = limit | guard
+    rem = dict(num)
+    heap = [-e for e in rem]
+    heapify(heap)
+    quo: dict[int, int] = {}
+    while heap:
+        e = -heappop(heap)
+        c = rem.pop(e, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        qe = (e | guard) - lead
+        qc, r = divmod(c, lead_c)
+        if r or qe & guard != guard or (ceiling - (qe ^ guard)) & guard != guard:
+            raise UsageError("inexact polynomial division")
+        qe ^= guard
+        quo[qe] = qc
+        for de, dc in tail:
+            k = qe + de
+            t = qc * dc
+            v = rem.get(k)
+            if v is None:
+                rem[k] = -t
+                heappush(heap, -k)
+            elif v == t:
+                del rem[k]
+            else:
+                rem[k] = v - t
+    return quo
+
+
+def _mul_sub(a: dict[int, int], b: dict[int, int], c: dict[int, int], d: dict[int, int]) -> dict[int, int]:
+    """a * b - c * d on packed integer term dicts."""
+    out: dict[int, int] = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            k = e1 + e2
+            out[k] = get(k, 0) + c1 * c2
+    for e1, c1 in c.items():
+        for e2, c2 in d.items():
+            k = e1 + e2
+            out[k] = get(k, 0) - c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
 def divexact(p: Poly, d: Poly) -> Poly:
-    """Exact division p / d; raises UsageError if d does not divide p."""
+    """Exact division p / d; raises UsageError if d does not divide p.
+
+    p is scaled to integer coefficients and d to a primitive integer
+    polynomial, so an exact quotient is integral and ``_divide_terms``
+    finds it; one rational factor then restores the quotient of p by d.
+    """
     if d.is_zero():
         raise UsageError("division by the zero polynomial")
     p, d = unify(p, d)
     if d.is_constant():
         return p.scale(1 / d.constant_value())
-    de, dc = d.leading_term()
-    quo_terms: dict[Exponent, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        re_, rc = rem.leading_term()
-        qe = tuple(a - b for a, b in zip(re_, de))
-        if any(k < 0 for k in qe):
-            raise UsageError("inexact polynomial division")
-        qc = rc / dc
-        quo_terms[qe] = quo_terms.get(qe, Fraction(0)) + qc
-        rem = rem - Poly(p.varlist, {qe: qc}) * d
-    return Poly(p.varlist, quo_terms)
+    if p.is_zero():
+        return p
+    deg_p = [p.degree(name) for name in p.varlist]
+    bound = [k - d.degree(name) for k, name in zip(deg_p, p.varlist)]
+    if min(bound) < 0:
+        raise UsageError("inexact polynomial division")
+    pack = _Packing(deg_p)
+    num_scale, den_scale = _denominator_lcm(p), _denominator_lcm(d)
+    num = _integer_terms(p, pack, num_scale)
+    den = _integer_terms(d, pack, den_scale)
+    content = reduce(gcd, den.values())
+    den = {e: c // content for e, c in den.items()}
+    quo = _divide_terms(num, den, pack.pack(bound), pack.guard)
+    factor = Fraction(den_scale, num_scale * content)
+    return Poly._make(p.varlist, {pack.unpack(e): c * factor for e, c in quo.items()})
 
 
 def resultant(p: Poly, q: Poly, var: str) -> Poly:
@@ -481,6 +619,12 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
     If exactly one operand has degree 0 in ``var`` the degenerate
     convention ``res(p, q) = q ** deg_var(p)`` applies; two degree-0
     operands are a usage error.
+
+    Otherwise p and q are scaled to integer coefficients by the lcms L_p
+    and L_q of their denominators, so every Sylvester row is an integer
+    row, and ``_bareiss_det`` computes the determinant over the integers.
+    Dividing it by L_p ** deg_var(q) * L_q ** deg_var(p), the product of
+    the row scales, gives the resultant of p and q.
     """
     p, q = unify(p, q)
     if var not in p.varlist:
@@ -493,39 +637,55 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
         return q.coeffs_in(var).get(0, Poly.zero(rest)) ** m
     if m == 0:
         return p.coeffs_in(var).get(0, Poly.zero(rest)) ** n
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    zero = Poly.zero(rest)
+    # Every minor met in the elimination has degree at most the sum of the
+    # rows' degrees, and the products formed before each division at most
+    # twice that; size the fields for those.
+    pack = _Packing([2 * (n * p.degree(name) + m * q.degree(name)) for name in rest])
+    p_scale, q_scale = _denominator_lcm(p), _denominator_lcm(q)
+    pc = {k: _integer_terms(c, pack, p_scale) for k, c in p.coeffs_in(var).items()}
+    qc = {k: _integer_terms(c, pack, q_scale) for k, c in q.coeffs_in(var).items()}
     size = m + n
-    rows: list[list[Poly]] = []
-    for i in range(n):
-        rows.append([pc.get(m - (j - i), zero) if 0 <= j - i <= m else zero for j in range(size)])
-    for i in range(m):
-        rows.append([qc.get(n - (j - i), zero) if 0 <= j - i <= n else zero for j in range(size)])
-    return _bareiss_det(rows, zero)
+    rows = [[pc.get(m - (j - r), {}) if 0 <= j - r <= m else {} for j in range(size)] for r in range(n)]
+    rows += [[qc.get(n - (j - r), {}) if 0 <= j - r <= n else {} for j in range(size)] for r in range(m)]
+    det = _bareiss_det(rows, pack)
+    scale = p_scale**n * q_scale**m
+    return Poly._make(rest, {pack.unpack(e): Fraction(c, scale) for e, c in det.items()})
 
 
-def _bareiss_det(rows: list[list[Poly]], zero: Poly) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials."""
+def _bareiss_det(rows: list[list[dict[int, int]]], pack: _Packing) -> dict[int, int]:
+    """Fraction-free determinant of a square matrix of packed integer term dicts.
+
+    Step k replaces each entry below and right of the pivot by
+    (a_ij * a_kk - a_ik * a_kj) / p, where p is the previous pivot; by
+    Sylvester's identity the new entry is a (k+1)-minor of the input, so
+    ``_divide_terms`` divides exactly over the integers.  ``pack``'s fields
+    must hold twice the degree of any minor.  Entry dicts are replaced,
+    never mutated, so rows may share them.  A column with no pivot gives
+    the zero determinant.
+    """
     n = len(rows)
     m = [row[:] for row in rows]
     sign = 1
-    prev = Poly.const(1, zero.varlist)
+    prev: dict[int, int] = {0: 1}
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return zero
+                return {}
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = divexact(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
+                num = _mul_sub(row_i[j], pivot, lead, row_k[j])
+                row_i[j] = _divide_terms(num, prev, pack.full, pack.guard) if num else {}
+            row_i[k] = {}
+        prev = pivot
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return {e: -c for e, c in det.items()} if sign < 0 else det
 
 
 def squarefree_part(p: Poly, var: str) -> Poly:
@@ -651,7 +811,10 @@ def parse_poly(text: str, varlist: Iterable[str] | None = None) -> Poly:
             if not m:
                 raise UsageError(f"cannot parse factor {factor!r} in term {chunk!r}")
             if m.group("num") is not None:
-                coeff *= Fraction(m.group("num"))
+                try:
+                    coeff *= Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise UsageError(f"zero denominator in factor {factor!r}") from None
             else:
                 name = m.group("var")
                 k = int(m.group("exp") or 1)

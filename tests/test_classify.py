@@ -46,6 +46,9 @@ class TestNormalizeParabolic:
 
 
 class TestDecisionTree:
+    def test_surface_without_y(self):
+        assert classify("x^3") == classify_monge(parse_poly("x^3", ("x", "y")))
+
     def test_stable_cusp(self):
         r = classify("y^2 + x^3 + x*y^3 + 5*x^4")
         assert r.stratum == "Pi_I_stable"

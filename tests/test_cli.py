@@ -85,6 +85,11 @@ class TestExitCodes:
     def test_classify_unresolved(self, capsys):
         assert run(["classify", "--surface", "y^2"]) == 3
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        assert run(["classify", "--surface", "1/0*x^2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_locus_pass_and_fail(self, capsys):
         base = ["verify-locus", "--table2", "Pi_v3", "--locus"]
         assert run(base + ["108*t + -40*u^3 + -3*u^4"]) == 0

@@ -163,6 +163,21 @@ class TestDivision:
         with pytest.raises(UsageError):
             divexact(P("x^2 + 1", ("x",)), P("x + 1", ("x",)))
 
+    def test_rational_quotient(self):
+        p = P("x^2*y + -1/4*y", ("x", "y"))
+        d = P("2*x + 1", ("x", "y"))
+        assert divexact(p, d) == P("1/2*x*y + -1/4*y", ("x", "y"))
+
+    def test_inexact_coefficient_rejected(self):
+        # The leading exponents divide, the leading coefficients do not.
+        with pytest.raises(UsageError, match="inexact"):
+            divexact(P("x", ("x",)), P("2*x + 1", ("x",)))
+
+    def test_inexact_with_growing_remainder_rejected(self):
+        # x^2 = (x + y^2)(x - y^2) + y^4: the remainder's y-degree rises.
+        with pytest.raises(UsageError, match="inexact"):
+            divexact(P("x^2", ("x", "y")), P("x + y^2", ("x", "y")))
+
     def test_squarefree_part(self):
         p = P("x^2 + 2*x*y + y^2", ("x", "y")) * P("x", ("x", "y"))
         sf = squarefree_part(p, "x")
@@ -193,3 +208,5 @@ class TestGrammar:
     def test_bad_input(self):
         with pytest.raises(UsageError):
             parse_poly("x + 3z")
+        with pytest.raises(UsageError, match="zero denominator"):
+            parse_poly("1/0*x^2")
