@@ -10,12 +10,12 @@ upstream by the exact polynomial layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ClassificationError, InsufficientJetError, UsageError
-from .families import SurfaceFamily, display_label, library_codim
+from .families import SurfaceFamily, display_label
 from .poly import Poly, divexact, format_poly, parse_poly, poly_gcd, substitute, unify
 
 Move = dict[str, Any]

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 usage/config error, 3 unresolved classification,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction

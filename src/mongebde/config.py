@@ -8,6 +8,7 @@ leading ``{``) are accepted as an alternative with the same keys.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,6 +52,10 @@ class JobConfig:
                 raise UsageError(
                     "exactly one surface source required: --surface or --table2"
                 )
+        for name in ("window", "t_range", "u_range", "params"):
+            values = getattr(self, name)
+            if values is not None and not all(_finite(v) for v in values):
+                raise UsageError(f"{name} {tuple(values)} must be finite")
         x0, x1, y0, y1 = self.window
         if not (x0 < x1 and y0 < y1):
             raise UsageError(f"window {self.window} is not well-formed")
@@ -58,6 +63,10 @@ class JobConfig:
             raise UsageError("grid, resolution and step must be positive")
         if self.axis not in (None, "x", "y"):
             raise UsageError("axis must be 'x' or 'y'")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, Fraction)) or math.isfinite(value)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -65,7 +65,7 @@ def surface(text: str, trunc_deg: int = 6, axis: Axis = "x") -> SurfaceFamily:
 # -- Table of deformation families ----------------------------------------
 #
 # Each entry: template text with moduli placeholders, default moduli,
-# constraint checker, codimension, projection axis.
+# constraint checker, projection axis.
 
 _F = Fraction
 
@@ -100,7 +100,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^2*y + 1/4*x^4 + {alpha}*x^5 + t*x^3",
         moduli={"alpha": _F(1)},
         check=_nonzero("alpha"),
-        codim=1,
         axis="x",
         trunc_deg=5,
     ),
@@ -108,7 +107,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^2*y + 1/4*x^4 + {gamma}*x^4*y + t*x^3 + u*x^4",
         moduli={"gamma": _F(1)},
         check=_nonzero("gamma"),
-        codim=2,
         axis="x",
         trunc_deg=6,
     ),
@@ -116,7 +114,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^2*y + 1/4*x^4 + {gamma}*x^4*y + t*x^3 + u*x^4",
         moduli={"gamma": _F(-1)},
         check=_nonzero("gamma"),
-        codim=2,
         axis="x",
         trunc_deg=6,
     ),
@@ -124,7 +121,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(1)},
         check=_pi_v1_constraint("+"),
-        codim=1,
         axis="x",
         trunc_deg=4,
         expect_sign="+",
@@ -133,7 +129,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(-1)},
         check=_pi_v1_constraint("+"),
-        codim=1,
         axis="x",
         trunc_deg=4,
         expect_sign="-",
@@ -142,7 +137,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + -1*x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(1)},
         check=_pi_v1_constraint("-"),
-        codim=1,
         axis="x",
         trunc_deg=4,
         expect_sign="+",
@@ -151,7 +145,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + -1*x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(-1)},
         check=_pi_v1_constraint("-"),
-        codim=1,
         axis="x",
         trunc_deg=4,
         expect_sign="-",
@@ -163,7 +156,6 @@ _LIBRARY: dict[str, dict] = {
         ),
         moduli={"alpha": _F(0), "gamma": _F(1)},
         check=_nonzero("gamma"),
-        codim=2,
         axis="x",
         trunc_deg=5,
         derived={"beta22": lambda m: _F(3, 8) * m["alpha"] ** 2},
@@ -175,7 +167,6 @@ _LIBRARY: dict[str, dict] = {
         ),
         moduli={"alpha": _F(0), "gamma": _F(1)},
         check=_nonzero("gamma"),
-        codim=2,
         axis="x",
         trunc_deg=5,
         derived={"beta22": lambda m: -_F(3, 8) * m["alpha"] ** 2},
@@ -184,7 +175,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^5 + {gamma}*x^3*y + t*x^2 + u*x^2*y",
         moduli={"gamma": _F(1)},
         check=_nonzero("gamma"),
-        codim=2,
         axis="x",
         trunc_deg=5,
     ),
@@ -192,7 +182,6 @@ _LIBRARY: dict[str, dict] = {
         template="x*y^2 + x^3 + {alpha}*x^3*y + {beta}*y^4 + t*x^2",
         moduli={"alpha": _F(1), "beta": _F(0)},
         check=lambda m: {},
-        codim=1,
         axis="x",
         trunc_deg=4,
     ),
@@ -200,7 +189,6 @@ _LIBRARY: dict[str, dict] = {
         template="x*y^2 + -1*x^3 + {alpha}*x^3*y + {beta}*y^4 + t*x^2",
         moduli={"alpha": _F(1), "beta": _F(0)},
         check=lambda m: {},
-        codim=1,
         axis="x",
         trunc_deg=4,
     ),
@@ -208,7 +196,6 @@ _LIBRARY: dict[str, dict] = {
         template="x*y^2 + x^4 + y^4 + {alpha}*x^3*y + t*x^2 + u*x^3",
         moduli={"alpha": _F(0)},
         check=lambda m: {},
-        codim=2,
         axis="y",
         trunc_deg=4,
     ),
@@ -216,7 +203,6 @@ _LIBRARY: dict[str, dict] = {
         template="x*y^2 + x^4 + -1*y^4 + {alpha}*x^3*y + t*x^2 + u*x^3",
         moduli={"alpha": _F(0)},
         check=lambda m: {},
-        codim=2,
         axis="y",
         trunc_deg=4,
     ),
@@ -314,10 +300,6 @@ def family_library(
 
 def library_labels() -> list[str]:
     return sorted(_LIBRARY)
-
-
-def library_codim(label: str) -> int:
-    return _LIBRARY[canonical_label(label)]["codim"]
 
 
 def _frac_text(value: Fraction) -> str:

@@ -46,7 +46,7 @@ class FlecnodalSystem:
     e2: Poly         # second-order contact: -(quadratic form along (1, v))
     e3: Poly         # third-order contact
     e4: Poly         # fourth-order contact (butterfly condition)
-    eliminant: Poly  # Res_v(e2, e3), primitive-normalized: the flecnodal curve
+    eliminant: Poly  # Res_v(e2, e3), primitive-normalized (or zero): the flecnodal curve
 
 
 def flecnodal_system(f: "SurfaceFamily | Poly", axis: str | None = None) -> FlecnodalSystem:
@@ -85,7 +85,9 @@ def flecnodal_system(f: "SurfaceFamily | Poly", axis: str | None = None) -> Flec
         e2 = -(a2 + b2.scale(2) * v + c2 * v * v)
     e3 = eta_axis(e2)
     e4 = eta_axis(e3)
-    elim = normalize_primitive(resultant(e2, e3, "v"))
+    elim = resultant(e2, e3, "v")
+    if not elim.is_zero():  # zero: no flecnodal curve (e.g. elliptic surfaces)
+        elim = normalize_primitive(elim)
     return FlecnodalSystem(axis=axis, lam=lam, e2=e2, e3=e3, e4=e4, eliminant=elim)
 
 

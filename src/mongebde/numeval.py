@@ -47,6 +47,47 @@ class CompiledPoly:
         return out
 
 
+class CompiledSystem:
+    """Several polynomials compiled over one argument order, evaluated together.
+
+    A call computes each power ``a**k`` that occurs once and sums every
+    polynomial from these shared powers.  Each term is
+    ``c * x**i * y**j`` multiplied left to right and added as
+    ``out + term`` in CompiledPoly's term order, so every result equals
+    the matching CompiledPoly's bit for bit.
+    """
+
+    def __init__(self, polys, args: tuple[str, ...] = ("x", "y")):
+        self.args = args
+        # Per polynomial, per term: (c, ((argument index, exponent), ...)),
+        # zero exponents dropped as CompiledPoly drops them.
+        self._terms = [
+            [
+                (c, tuple((i, k) for i, k in enumerate(exps) if k))
+                for c, exps in CompiledPoly(p, args)._terms
+            ]
+            for p in polys
+        ]
+        self._factors = {f for terms in self._terms for _, factors in terms for f in factors}
+
+    def __call__(self, *values) -> list:
+        if len(values) != len(self.args):
+            raise UsageError(f"expected {len(self.args)} arguments {self.args}")
+        arrs = [np.asarray(v, dtype=float) for v in values]
+        shape = np.broadcast(*arrs).shape if arrs else ()
+        powers = {(i, k): arrs[i] ** k for i, k in self._factors}
+        out = []
+        for terms in self._terms:
+            acc = np.zeros(shape)
+            for c, factors in terms:
+                term = c
+                for factor in factors:
+                    term = term * powers[factor]
+                acc = acc + term
+            out.append(acc)
+        return out
+
+
 def compile_poly(p: Poly, args: tuple[str, ...] = ("x", "y")) -> CompiledPoly:
     return CompiledPoly(p, args)
 

@@ -13,39 +13,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .bde import asymptotic_bde, discriminant
+from .bde import asymptotic_bde
 from .errors import UsageError
 from .families import SurfaceFamily
 from .flecnodal import flecnodal_system, parabolic_poly
 from .poly import Poly, divexact, normalize_primitive, resultant, unify
 from .trace import (
+    DEFAULT_WINDOW,
     TracedCurve,
+    Window,
+    _FamilyCurves,
     butterfly_points,
     curve_singularities,
-    fix_params,
     gauss_cusps,
     trace_zero_set,
 )
 
-Window = tuple[float, float, float, float]
-DEFAULT_WINDOW: Window = (-0.5, 0.5, -0.5, 0.5)
-
-#: Count-valued fingerprint components, cheapest first.  The two branch
-#: counts exist because a Morse transition of a curve changes how many
-#: branches cross the window while leaving every point count unchanged on
-#: either side of the locus.
-FINGERPRINT_COMPONENTS = (
-    "parabolic_singular",
-    "gauss_cusps",
-    "butterflies",
-    "flecnodal_singular",
-    "parabolic_branches",
-    "flecnodal_branches",
-)
 DEFAULT_COMPONENTS = (
     "parabolic_singular",
     "gauss_cusps",
@@ -84,15 +70,6 @@ class BifurcationDiagram:
         ]
 
 
-class _FamilyCurves:
-    """Per-family exact data shared across all sweep cells."""
-
-    def __init__(self, fam: SurfaceFamily):
-        self.fam = fam
-        self.parabolic = parabolic_poly(fam)
-        self.flecnodal = flecnodal_system(fam).eliminant
-
-
 _SING_TAGS = ("node", "cusp", "isolated", "degenerate")
 
 
@@ -123,7 +100,7 @@ def fingerprint(
         if name == "parabolic_singular":
             out.append(_typed_count(curve_singularities(cache.parabolic, window, params, grid=grid)))
         elif name == "gauss_cusps":
-            out.append(len(gauss_cusps(fam, params, window, grid=grid)))
+            out.append(len(gauss_cusps(fam, params, window, grid=grid, _cache=cache)))
         elif name == "butterflies":
             out.append(len(butterfly_points(fam, window, params)))
         elif name == "flecnodal_singular":
@@ -375,7 +352,7 @@ def panel_scene(
         window=window,
         parabolic=trace_zero_set(curves.parabolic, window, resolution, params),
         flecnodal=trace_zero_set(curves.flecnodal, window, resolution, params),
-        gauss_cusps=gauss_cusps(fam, params, window),
+        gauss_cusps=gauss_cusps(fam, params, window, _cache=curves),
         butterflies=butterfly_points(fam, window, params) if with_butterflies else [],
     )
     if with_portrait:

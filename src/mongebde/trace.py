@@ -1,15 +1,20 @@
 """Numerical tracing of implicit curves and their special points.
 
 Exact polynomials come in; floats come out.  Tracing is marching squares
-with Newton refinement of every crossing; singular points are found by a
-batched Newton iteration on the gradient system and classified by the
-Hessian (falling back to the cubic term in the kernel direction).
+with Newton refinement of every crossing.  Singular points and cusps of
+Gauss are found by one batched damped Newton solver (``_newton2``) on two
+equations in (x, y), seeded on a grid and evaluated through shared power
+tables; singular points are classified by the Hessian (falling back to the
+cubic term in the kernel direction).  ``_FamilyCurves`` holds a family's
+exact parabolic and flecnodal equations, so callers that visit many
+parameter points (sweeps, panels) derive them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +22,8 @@ import numpy as np
 from .errors import UsageError
 from .families import SurfaceFamily
 from .flecnodal import FlecnodalSystem, flecnodal_system, parabolic_poly
-from .numeval import compile_gradient, compile_poly
-from .poly import Poly, substitute
+from .numeval import CompiledSystem, compile_gradient, compile_poly
+from .poly import Poly, substitute, unify
 
 Window = tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
 DEFAULT_WINDOW: Window = (-0.5, 0.5, -0.5, 0.5)
@@ -35,7 +40,20 @@ def fix_params(p: Poly, params=(0, 0)) -> Poly:
 
 
 def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value).limit_denominator(10**12)
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value).limit_denominator(10**12)
+    except (OverflowError, ValueError):
+        raise UsageError(f"parameter {value!r} is not a finite number") from None
+
+
+class _FamilyCurves:
+    """Exact parabolic and flecnodal equations of a family, derived once."""
+
+    def __init__(self, fam: SurfaceFamily):
+        self.parabolic = parabolic_poly(fam)
+        self.flecnodal = flecnodal_system(fam).eliminant
 
 
 @dataclass
@@ -74,58 +92,28 @@ def curve_singularities(
 
     Classification: nondegenerate Hessian -> node (indefinite) or isolated
     (definite); rank-1 Hessian with a nonzero cubic term along the kernel
-    -> cusp; anything deeper -> degenerate.
+    -> cusp; anything deeper -> degenerate.  An identically zero p has
+    no curve and so no singular points.
     """
     if params is not None:
         p = fix_params(p, params)
     p = _in_xy(p.restrict())
-    fp = compile_poly(p)
+    if p.is_zero():
+        return []
     px, py = p.partial("x"), p.partial("y")
-    fx, fy = compile_poly(px), compile_poly(py)
-    fxx = compile_poly(px.partial("x"))
-    fxy = compile_poly(px.partial("y"))
-    fyy = compile_poly(py.partial("y"))
-    xmin, xmax, ymin, ymax = window
-    gx, gy = np.meshgrid(
-        np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid)
-    )
-    X, Y = gx.ravel().copy(), gy.ravel().copy()
     # Degenerate roots of the gradient system (cusps) converge only
     # linearly, so allow many iterations; the loop exits early once every
     # seed has stalled or converged.
-    for _ in range(300):
-        a, b, c = fxx(X, Y), fxy(X, Y), fyy(X, Y)
-        g1, g2 = fx(X, Y), fy(X, Y)
-        det = a * c - b * b
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        dx = (c * g1 - b * g2) / det
-        dy = (a * g2 - b * g1) / det
-        dx = np.where(bad, 0.0, dx)
-        dy = np.where(bad, 0.0, dy)
-        step = np.clip(np.hypot(dx, dy), 0, None)
-        lim = np.maximum(1.0, step)  # damp huge steps
-        X -= dx / lim
-        Y -= dy / lim
-        if np.max(np.hypot(dx, dy)) < newton_tol:
-            break
-    pad = 1e-9 + 0.0
-    ok = (
-        (X >= xmin - pad)
-        & (X <= xmax + pad)
-        & (Y >= ymin - pad)
-        & (Y <= ymax + pad)
-        & (np.abs(fp(X, Y)) <= residual_tol)
-        & (np.hypot(fx(X, Y), fy(X, Y)) <= math.sqrt(residual_tol))
+    X, Y = _newton2(
+        (px, py, px.partial("x"), px.partial("y"), px.partial("y"), py.partial("y")),
+        window, grid, 300, newton_tol,
     )
-    X, Y = X[ok], Y[ok]
-    quality = np.abs(fp(X, Y)) + np.hypot(fx(X, Y), fy(X, Y))
-    order = np.argsort(quality)
-    points = _dedupe(np.column_stack([X[order], Y[order]]), dedupe)
-    out = []
-    for x0, y0 in points:
-        out.append(((float(x0), float(y0)), _classify_point(p, x0, y0)))
-    return out
+    v, vx, vy = CompiledSystem((p, px, py))(X, Y)
+    grad = np.hypot(vx, vy)
+    ok = (np.abs(v) <= residual_tol) & (grad <= math.sqrt(residual_tol))
+    order = np.argsort(np.abs(v[ok]) + grad[ok])
+    points = _dedupe(np.column_stack([X[ok][order], Y[ok][order]]), dedupe)
+    return [((float(x0), float(y0)), _classify_point(p, x0, y0)) for x0, y0 in points]
 
 
 def _in_xy(p: Poly) -> Poly:
@@ -165,11 +153,16 @@ def _classify_point(p: Poly, x0: float, y0: float) -> str:
 
 
 def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
-    kept: list = []
-    for pt in points:
-        if all(np.hypot(pt[0] - q[0], pt[1] - q[1]) > radius for q in kept):
-            kept.append(pt)
-    return np.array(kept) if kept else np.zeros((0, 2))
+    """Greedy merge in order: a point is kept when it lies farther than
+    ``radius`` from every point kept before it."""
+    alive = np.ones(len(points), dtype=bool)
+    kept = []
+    while alive.any():
+        i = int(np.argmax(alive))
+        kept.append(i)
+        alive &= np.hypot(points[:, 0] - points[i, 0], points[:, 1] - points[i, 1]) > radius
+        alive[i] = False
+    return points[kept]
 
 
 # -- marching squares ------------------------------------------------------
@@ -397,67 +390,69 @@ def gauss_cusps(
     parallel_tol: float = 1e-8,
     on_curve_tol: float = 1e-8,
     dedupe: float = 1e-6,
+    _cache: "_FamilyCurves | None" = None,
 ) -> list:
     """Tangency points of the parabolic and flecnodal curves.
 
-    Solves {P = 0, grad P x grad S = 0} by batched Newton and keeps
-    solutions lying on S as well (|S| small): ordinary or degenerate cusps
-    of Gauss.
+    Solves {P = 0, grad P x grad S = 0} by ``_newton2`` (60 iterations,
+    no early exit) from a grid x grid seed lattice and keeps solutions
+    lying on S as well (|S| small): ordinary or degenerate cusps of Gauss.
+    P and S come from ``_cache`` when given, otherwise they are derived
+    here.  A family without a flecnodal curve (an identically zero
+    eliminant, e.g. an elliptic surface) has none.
     """
     fam = f if isinstance(f, SurfaceFamily) else SurfaceFamily(f=f)
-    P = fix_params(parabolic_poly(fam), params)
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        S = fix_params(flecnodal_system(fam).eliminant, params)
-    P, S = (_in_xy(q) for q in (P, S))
-    from .poly import unify
-
-    P, S = unify(P, S)
+    if _cache is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _cache = _FamilyCurves(fam)
+    P, S = unify(*(_in_xy(fix_params(q, params)) for q in (_cache.parabolic, _cache.flecnodal)))
+    if S.is_zero():
+        return []
     cross = P.partial("x") * S.partial("y") - P.partial("y") * S.partial("x")
-    sols = _newton2(P, cross, window, grid)
-    fS = compile_poly(S)
-    fP = compile_poly(P)
-    fc = compile_poly(cross)
-    out = []
-    for x0, y0 in sols:
-        if (
-            abs(fP(x0, y0)) <= on_curve_tol
-            and abs(fc(x0, y0)) <= parallel_tol
-            and abs(fS(x0, y0)) <= on_curve_tol
-        ):
-            out.append((float(x0), float(y0)))
-    return [tuple(pt) for pt in _dedupe(np.array(out) if out else np.zeros((0, 2)), dedupe)]
+    X, Y = _newton2(
+        (P, cross, P.partial("x"), P.partial("y"), cross.partial("x"), cross.partial("y")),
+        window, grid, 60,
+    )
+    vP, vc, vS = CompiledSystem((P, cross, S))(X, Y)
+    ok = (np.abs(vP) <= on_curve_tol) & (np.abs(vc) <= parallel_tol) & (np.abs(vS) <= on_curve_tol)
+    pts = _dedupe(np.column_stack([X[ok], Y[ok]]), dedupe)
+    return [(float(x0), float(y0)) for x0, y0 in pts]
 
 
-def _newton2(p: Poly, q: Poly, window: Window, grid: int, iters: int = 60):
-    from .poly import unify
+def _newton2(system, window: Window, grid: int, iters: int, tol: float | None = None):
+    """Batched damped Newton for two equations in (x, y).
 
-    p, q = unify(p, q)
-    f1, f2 = compile_poly(p), compile_poly(q)
-    j11, j12 = compile_gradient(p)
-    j21, j22 = compile_gradient(q)
+    ``system`` is (r1, r2, dr1/dx, dr1/dy, dr2/dx, dr2/dy), all six
+    evaluated per step through one CompiledSystem.  Seeds form a
+    grid x grid lattice over the window.  A step longer than 1 is scaled
+    to length 1, and a seed whose Jacobian determinant is below 1e-300
+    stays put.  With ``tol`` the loop stops early once every step is
+    shorter than ``tol``; without it, it runs all ``iters`` iterations.
+    Returns (X, Y): the finite end points within 1e-9 of the window, in
+    seed order.
+    """
+    evaluate = CompiledSystem(system)
     xmin, xmax, ymin, ymax = window
     gx, gy = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid))
     X, Y = gx.ravel().copy(), gy.ravel().copy()
     for _ in range(iters):
-        a, b, c, d = j11(X, Y), j12(X, Y), j21(X, Y), j22(X, Y)
-        r1, r2 = f1(X, Y), f2(X, Y)
+        r1, r2, a, b, c, d = evaluate(X, Y)
         det = a * d - b * c
         bad = np.abs(det) < 1e-300
         det = np.where(bad, 1.0, det)
-        dx = (d * r1 - b * r2) / det
-        dy = (a * r2 - c * r1) / det
-        dx = np.where(bad, 0.0, dx)
-        dy = np.where(bad, 0.0, dy)
-        lim = np.maximum(1.0, np.hypot(dx, dy))
+        dx = np.where(bad, 0.0, (d * r1 - b * r2) / det)
+        dy = np.where(bad, 0.0, (a * r2 - c * r1) / det)
+        step = np.hypot(dx, dy)
+        lim = np.maximum(1.0, step)  # damp huge steps
         X -= dx / lim
         Y -= dy / lim
+        if tol is not None and np.max(step) < tol:
+            break
     pad = 1e-9
     ok = (X >= xmin - pad) & (X <= xmax + pad) & (Y >= ymin - pad) & (Y <= ymax + pad)
     ok &= np.isfinite(X) & np.isfinite(Y)
-    return np.column_stack([X[ok], Y[ok]])
+    return X[ok], Y[ok]
 
 
 def butterfly_points(
@@ -480,32 +475,26 @@ def butterfly_points(
     if isinstance(f, FlecnodalSystem):
         systems = [f]
     else:
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             systems = [flecnodal_system(f, axis="x"), flecnodal_system(f, axis="y")]
     found = []
     for fs in systems:
         eqs = [fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)]
-        sols = _newton3(eqs, window, grid, v_seeds, vmax)
-        for x0, y0, v0 in sols:
-            if abs(v0) <= vmax and all(
-                abs(compile_poly(e, ("x", "y", "v"))(x0, y0, v0)) <= residual_tol
-                for e in eqs
-            ):
-                found.append((float(x0), float(y0)))
-    pts = _dedupe(np.array(found) if found else np.zeros((0, 2)), dedupe)
-    return [tuple(pt) for pt in pts]
+        Z = _newton3(eqs, window, grid, v_seeds, vmax)
+        X, Y, V = (np.ascontiguousarray(Z[:, k]) for k in range(3))
+        ok = np.abs(V) <= vmax
+        for r in CompiledSystem(eqs, ("x", "y", "v"))(X, Y, V):
+            ok &= np.abs(r) <= residual_tol
+        found.append(np.column_stack([X[ok], Y[ok]]))
+    return [(float(x0), float(y0)) for x0, y0 in _dedupe(np.vstack(found), dedupe)]
 
 
 def _newton3(eqs, window: Window, grid: int, v_seeds: int, vmax: float, iters: int = 60):
-    from .poly import unify
-
     eqs = list(unify(*eqs))
     args = ("x", "y", "v")
-    fs = [compile_poly(e, args) for e in eqs]
-    jac = [[compile_poly(e.partial(n) if n in e.varlist else Poly.zero(e.varlist), args) for n in args] for e in eqs]
+    jac = [e.partial(n) if n in e.varlist else Poly.zero(e.varlist) for e in eqs for n in args]
+    evaluate = CompiledSystem(eqs + jac, args)
     xmin, xmax, ymin, ymax = window
     gx, gy, gv = np.meshgrid(
         np.linspace(xmin, xmax, grid),
@@ -514,11 +503,9 @@ def _newton3(eqs, window: Window, grid: int, v_seeds: int, vmax: float, iters: i
     )
     Z = np.column_stack([gx.ravel(), gy.ravel(), gv.ravel()])
     for _ in range(iters):
-        F = np.column_stack([f(Z[:, 0], Z[:, 1], Z[:, 2]) for f in fs])
-        J = np.empty((len(Z), 3, 3))
-        for r in range(3):
-            for c in range(3):
-                J[:, r, c] = jac[r][c](Z[:, 0], Z[:, 1], Z[:, 2])
+        values = evaluate(Z[:, 0], Z[:, 1], Z[:, 2])
+        F = np.column_stack(values[:3])
+        J = np.stack(values[3:], axis=1).reshape(len(Z), 3, 3)
         det = np.linalg.det(J)
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
         J[bad] = np.eye(3)
@@ -552,7 +539,7 @@ def flecnodal_parametrization_check(
     from .families import family_library
 
     fam = f or family_library("Pi_v1++")
-    elim = fix_params(flecnodal_system(fam).eliminant, (Fraction(t).limit_denominator(10**12), 0))
+    elim = fix_params(flecnodal_system(fam).eliminant, (t, 0))
     fe = compile_poly(_in_xy(elim))
     worst = 0.0
     for v in np.linspace(-v_range, v_range, n_samples):

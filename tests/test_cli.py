@@ -25,6 +25,17 @@ class TestConfig:
         with pytest.raises(UsageError):
             JobConfig(command="classify", surface="y^2", window=(1, -1, 0, 1))
 
+    def test_non_finite_values_rejected(self):
+        inf = float("inf")
+        for kwargs in (
+            {"window": (-inf, 0, 0, 1)},
+            {"t_range": (float("nan"), 0.1)},
+            {"u_range": (0, inf)},
+            {"params": (inf, 0)},
+        ):
+            with pytest.raises(UsageError):
+                JobConfig(command="sweep", table2="Pi_c2", **kwargs)
+
     def test_parse_helpers(self):
         assert parse_pairs(["alpha=1/2"])["alpha"] == 0.5
         assert parse_range("-0.1:0.2") == (-0.1, 0.2)
@@ -89,6 +100,20 @@ class TestExitCodes:
         assert run(["classify", "--surface", "1/0*x^2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_range_is_usage_error(self, capsys):
+        assert run(["sweep", "--table2", "Pi_c2", "--t=-inf:0.1", "--grid", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_elliptic_surface_has_empty_flecnodal_curve(self, tmp_path, capsys):
+        # x^2 + y^2 has no asymptotic directions: its flecnodal eliminant
+        # vanishes identically, which gives an empty curve, not an error.
+        out = tmp_path / "p"
+        argv = ["--surface", "x^2+y^2", "--resolution", "16"]
+        assert run(["portrait", *argv, "--out", str(out)]) == 0
+        assert (out / "scene.svg").exists()
+        assert run(["flecnodal", *argv]) == 0
 
     def test_verify_locus_pass_and_fail(self, capsys):
         base = ["verify-locus", "--table2", "Pi_v3", "--locus"]

@@ -103,6 +103,33 @@ class TestSweep:
             assert a == b, params
 
 
+def test_sweep_derives_flecnodal_system_once(monkeypatch):
+    import sys
+
+    import mongebde.trace
+
+    calls = []
+    original = mongebde.trace.flecnodal_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mongebde.trace, "flecnodal_system", counting)
+    # ``mongebde.sweep`` is the re-exported function; patch the module.
+    monkeypatch.setattr(sys.modules["mongebde.sweep"], "flecnodal_system", counting)
+    d = sweep(
+        family_library("Pi_c2"),
+        (-0.05, 0.05),
+        grid_n=3,
+        components=("gauss_cusps", "parabolic_singular"),
+        cell_grid=16,
+        bisect_tol=1e-2,
+    )
+    assert d.loci  # the cusp pair dies at t = 0, so bisection ran too
+    assert len(calls) == 1
+
+
 class TestPanelScene:
     def test_c2_panel_before_collapse(self):
         scene = panel_scene(

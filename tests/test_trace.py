@@ -8,8 +8,9 @@ from mongebde.errors import UsageError
 from mongebde.families import family_library
 from mongebde.flecnodal import flecnodal_system, parabolic_poly
 from mongebde.numeval import compile_poly
-from mongebde.poly import parse_poly
+from mongebde.poly import Poly, parse_poly
 from mongebde.trace import (
+    _dedupe,
     butterfly_points,
     curve_singularities,
     fix_params,
@@ -58,11 +59,41 @@ class TestSingularities:
         with pytest.raises(UsageError):
             curve_singularities(parse_poly("x*y + t"))
 
+    def test_zero_polynomial_has_none(self):
+        # Every seed would "converge" on p = 0; there is no curve to be singular.
+        assert curve_singularities(Poly.zero(("x", "y"))) == []
+
+
+def _dedupe_reference(points, radius):
+    kept = []
+    for pt in points:
+        if all(np.hypot(pt[0] - q[0], pt[1] - q[1]) > radius for q in kept):
+            kept.append(pt)
+    return np.array(kept) if kept else np.zeros((0, 2))
+
+
+def test_dedupe_keeps_first_of_each_cluster():
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(-1, 1, (6, 2))
+    pts = centers[rng.integers(0, 6, 300)] + rng.normal(0, 1e-7, (300, 2))
+    pts[::50] = rng.uniform(-1, 1, (6, 2))
+    for radius in (1e-6, 1e-3, 0.5):
+        got, want = _dedupe(pts, radius), _dedupe_reference(pts, radius)
+        assert np.array_equal(got, want)
+    assert _dedupe(np.zeros((0, 2)), 1e-6).shape == (0, 2)
+
 
 class TestTraceZeroSet:
     def test_empty(self):
         tc = trace_zero_set(parse_poly("x^2 + y^2 + 1"), (-1, 1, -1, 1))
         assert tc.n_branches() == 0
+
+    def test_elliptic_flecnodal_curve_is_empty(self):
+        with pytest.warns(UserWarning):
+            s = flecnodal_system(parse_poly("x^2 + y^2")).eliminant
+        assert s.is_zero()
+        tc = trace_zero_set(s, resolution=16)
+        assert tc.n_branches() == 0 and tc.special_points == []
 
     def test_cross_splits_at_node(self):
         tc = trace_zero_set(parse_poly("x*y"), (-1, 1, -1, 1))
@@ -120,6 +151,7 @@ class TestGaussCusps:
         after = gauss_cusps(fam, (Fraction(1, 20), 0))
         assert len(before) == 2
         assert len(after) == 0
+        assert all(type(c) is float for pt in before for c in pt)
 
     def test_c2_single_tangency_at_zero(self):
         fam = family_library("Pi_c2")
@@ -131,6 +163,17 @@ class TestGaussCusps:
         from mongebde.families import surface
 
         assert gauss_cusps(surface("y^2 + x^3"), (0, 0)) == []
+
+    def test_elliptic_surface_has_none(self):
+        from mongebde.families import surface
+
+        assert gauss_cusps(surface("x^2 + y^2"), (0, 0)) == []
+
+    def test_non_finite_params_are_usage_errors(self):
+        fam = family_library("Pi_c2")
+        for params in ((float("inf"), 0), (float("nan"), 0)):
+            with pytest.raises(UsageError):
+                gauss_cusps(fam, params)
 
 
 class TestButterflies:
@@ -148,6 +191,7 @@ class TestButterflies:
     def test_v3_has_butterflies(self):
         pts = butterfly_points(family_library("Pi_v3"), params=(Fraction(-1, 100), 0))
         assert len(pts) == 2
+        assert all(type(c) is float for pt in pts for c in pt)
         sysx = flecnodal_system(family_library("Pi_v3"), axis="x")
         elim = fix_params(sysx.eliminant, (Fraction(-1, 100), 0))
         f = compile_poly(elim.extend(("x", "y")))
