@@ -24,6 +24,11 @@ COMMANDS = (
     "golden-check",
 )
 
+#: Largest curve-trace resolution.  Marching squares holds several
+#: (resolution + 1)^2 float grids (34 MB each at 2048) and visits every
+#: cell in a Python loop.
+MAX_RESOLUTION = 2048
+
 
 @dataclass
 class JobConfig:
@@ -42,7 +47,6 @@ class JobConfig:
     t_range: tuple = (-0.1, 0.1)
     u_range: tuple = (-0.1, 0.1)
     goldens: str = "goldens"
-    step: float = 1e-3
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -59,8 +63,12 @@ class JobConfig:
         x0, x1, y0, y1 = self.window
         if not (x0 < x1 and y0 < y1):
             raise UsageError(f"window {self.window} is not well-formed")
-        if self.grid <= 0 or self.resolution <= 0 or self.step <= 0:
-            raise UsageError("grid, resolution and step must be positive")
+        if self.grid <= 0 or self.resolution <= 0:
+            raise UsageError("grid and resolution must be positive")
+        if self.resolution > MAX_RESOLUTION:
+            raise UsageError(
+                f"resolution {self.resolution} exceeds the maximum {MAX_RESOLUTION}"
+            )
         if self.axis not in (None, "x", "y"):
             raise UsageError("axis must be 'x' or 'y'")
 

@@ -40,8 +40,10 @@ def curves_csv(named_curves) -> str:
     lines = ["curve,branch_id,x,y"]
     for name, branches in named_curves:
         for bid, branch in enumerate(branches):
-            for x, y in np.asarray(branch):
-                lines.append(f"{name},{bid},{_fmt(x)},{_fmt(y)}")
+            # tolist() gives the floats _fmt would make, without a numpy
+            # scalar per coordinate.
+            for x, y in np.asarray(branch, dtype=float).tolist():
+                lines.append(f"{name},{bid},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -55,11 +57,11 @@ def _svg_header(window, size: int):
 
 
 def _path(branch, color: str, width: float) -> str:
-    pts = np.asarray(branch)
+    pts = np.asarray(branch, dtype=float)
     if len(pts) < 2:
         return ""
     # SVG's y axis points down; flip so the picture matches the plane.
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in pts)
+    d = "M " + " L ".join(f"{x!r} {-y!r}" for x, y in pts.tolist())
     return f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
 
 

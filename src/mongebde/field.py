@@ -6,11 +6,22 @@ to (x, y) integrates the BDE and passes through the discriminant, where
 the projected curve generically shows a cusp.  Steep slopes are handled
 in the reciprocal chart q = 1/p, where q = dx/dy solves the same equation
 with the roles of the outer coefficients swapped.
+
+Integral curves are computed in lanes: one lane is one seed point, start
+slope and orientation.  ``_integrate`` steps every live lane of a batch
+together with fixed-step RK4 (Hairer, Norsett & Wanner, *Solving ODEs I*,
+section II.1), evaluating the fields of both charts through shared
+``CompiledSystem`` power tables.  Each lane keeps its own chart, direction
+and stopping state, and every lane's arithmetic is the same as if it ran
+alone, so a lane's polyline does not depend on the batch it runs in.
+``portrait`` runs all its lanes as one batch; ``integrate_field`` is a
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +29,7 @@ import numpy as np
 
 from .bde import BDE
 from .errors import UsageError
-from .numeval import compile_poly
+from .numeval import CompiledSystem, compile_poly
 from .poly import Poly
 from .trace import fix_params
 
@@ -50,16 +61,7 @@ class LiftedField:
 
     @staticmethod
     def from_bde(b: BDE, params=(0, 0)) -> "LiftedField":
-        a, b2, c = _fix(b, params)
-        v = Poly.var(_SLOPE, _LIFT_VARS)
-        F = a * v * v + b2.scale(2) * v + c
-        dx = F.partial(_SLOPE)
-        dy = v * dx
-        dv = -(F.partial("x") + v * F.partial("y"))
-        # Tangency: the field must annihilate F identically.
-        tangency = F.partial("x") * dx + F.partial("y") * dy + F.partial(_SLOPE) * dv
-        assert tangency.is_zero(), "lifted field is not tangent to {F=0}"
-        return LiftedField(F=F, dx=dx, dy=dy, dv=dv)
+        return _lift(_fix(b, params))
 
     def reciprocal(self) -> "LiftedField":
         """The same surface in the chart q = 1/v (here still named v).
@@ -83,6 +85,19 @@ class LiftedField:
         )
 
 
+def _lift(coeffs) -> LiftedField:
+    """The lifted field of the fixed coefficients ``(a, b, c)`` from ``_fix``."""
+    a, b2, c = coeffs
+    v = Poly.var(_SLOPE, _LIFT_VARS)
+    F = a * v * v + b2.scale(2) * v + c
+    dx = F.partial(_SLOPE)
+    dy = v * dx
+    dv = -(F.partial("x") + v * F.partial("y"))
+    # Tangency: the field must annihilate F identically.
+    tangency = F.partial("x") * dx + F.partial("y") * dy + F.partial(_SLOPE) * dv
+    assert tangency.is_zero(), "lifted field is not tangent to {F=0}"
+    return LiftedField(F=F, dx=dx, dy=dy, dv=dv)
+
 
 def directions_at(b: BDE, point, params=(0, 0), flat_tol: float = 1e-10):
     """Real asymptotic slopes at a point: [], one or two values, or "all".
@@ -92,9 +107,12 @@ def directions_at(b: BDE, point, params=(0, 0), flat_tol: float = 1e-10):
     umbilic every direction solves the equation and the string ``"all"``
     is returned.
     """
-    a, b2, c = _fix(b, params)
+    return _directions(_fix(b, params), point, flat_tol)
+
+
+def _directions(coeffs, point, flat_tol: float = 1e-10):
     vals = {"x": float(point[0]), "y": float(point[1]), _SLOPE: 0.0}
-    av, bv, cv = (q.eval_float(vals) for q in (a, b2, c))
+    av, bv, cv = (q.eval_float(vals) for q in coeffs)
     scale = max(abs(av), abs(bv), abs(cv))
     if scale < flat_tol:
         return "all"
@@ -131,69 +149,120 @@ def integrate_field(
     exit, step budget, or approach to a flat umbilic (all three
     coefficients below ``flat_tol``).  Crossing the discriminant needs no
     special casing: the lifted field is regular there and the projection
-    produces the cusp by itself.
+    produces the cusp by itself.  The curve is one lane of the batched
+    integrator that ``portrait`` uses, run alone; it equals the matching
+    ``portrait`` curve bit for bit.
     """
+    coeffs = _fix(b, params)
     if slope is None:
-        dirs = directions_at(b, seed, params, flat_tol)
+        dirs = _directions(coeffs, seed, flat_tol)
         if dirs == "all":
             raise UsageError("seed is a flat umbilic: every direction is asymptotic")
         if not dirs:
             raise UsageError("seed lies in the elliptic region: no real asymptotic direction")
         slope = dirs[0]
-    lift = LiftedField.from_bde(b, params)
-    charts = {
-        "v": [compile_poly(f, _LIFT_VARS) for f in (lift.dx, lift.dy, lift.dv)],
-        "q": [
-            compile_poly(f, _LIFT_VARS)
-            for f in (lift.reciprocal().dx, lift.reciprocal().dy, lift.reciprocal().dv)
-        ],
-    }
-    a, b2, c = _fix(b, params)
-    coeff_fns = [compile_poly(q, ("x", "y")) for q in (a, b2, c)]
+    (curve,) = _integrate(
+        coeffs, [(seed[0], seed[1], slope, orientation)],
+        step=step, max_steps=max_steps, window=window,
+        chart_bound=chart_bound, flat_tol=flat_tol,
+    )
+    return curve
 
-    def rhs(state, chart, direction):
-        x, y, s = state
-        fx, fy, fs = charts[chart]
-        vec = np.array([fx(x, y, s), fy(x, y, s), fs(x, y, s)])
-        n = np.linalg.norm(vec)
-        return direction * vec / n if n > 0 else vec
+
+def _integrate(
+    coeffs, lanes, *, step, max_steps, window, chart_bound=4.0, flat_tol=1e-10
+) -> list:
+    """Fixed-step RK4 on every lane ``(x0, y0, slope, orientation)`` at once.
+
+    Returns one (N, 2) polyline per lane, in lane order.  A lane starts in
+    the q chart when its slope is vertical or steeper than ``chart_bound``.
+    Each step, a lane whose new state is not finite or leaves the window
+    stops without appending it; otherwise the point is appended, the lane
+    stops if it reached a flat umbilic, and else switches charts when
+    |slope| > ``chart_bound``.  Stopped lanes drop out of the arrays, so
+    the fields are only ever evaluated on live lanes.
+    """
+    lift = _lift(coeffs)
+    recip = lift.reciprocal()
+    charts = (
+        CompiledSystem((lift.dx, lift.dy, lift.dv), _LIFT_VARS),
+        CompiledSystem((recip.dx, recip.dy, recip.dv), _LIFT_VARS),
+    )
+    coeff_system = CompiledSystem(coeffs, ("x", "y"))
+
+    def rows_by_chart(in_q):
+        # (system, rows) pairs; a whole-batch slice when one chart holds every lane.
+        if not in_q.any():
+            return [(charts[0], slice(None))]
+        if in_q.all():
+            return [(charts[1], slice(None))]
+        return [(charts[0], ~in_q), (charts[1], in_q)]
+
+    def rhs(z, groups, d):
+        # Unit tangent times the lane's direction; a zero field stays zero.
+        vec = np.empty_like(z)
+        for system, rows in groups:
+            zr = z[rows]
+            vec[rows, 0], vec[rows, 1], vec[rows, 2] = system(zr[:, 0], zr[:, 1], zr[:, 2])
+        # vecdot is the BLAS dot that np.linalg.norm uses, so the norm
+        # rounds exactly as it does for a single 3-vector.
+        n = np.sqrt(np.vecdot(vec, vec))[:, None]
+        out = vec.copy()
+        np.divide(d * vec, n, out=out, where=n > 0)
+        return out
 
     xmin, xmax, ymin, ymax = window
-    x0, y0 = float(seed[0]), float(seed[1])
-    chart, s0 = "v", float(slope)
-    if not math.isfinite(s0) or abs(s0) > chart_bound:
-        chart = "q"
-        s0 = 0.0 if not math.isfinite(s0) else 1.0 / s0
-    state = np.array([x0, y0, s0])
-    direction = float(orientation)
-    pts = [(x0, y0)]
+    z = np.empty((len(lanes), 3))
+    in_q = np.zeros(len(lanes), dtype=bool)
+    d = np.empty((len(lanes), 1))  # direction, a column to scale (x, y, v) rows
+    for i, (x0, y0, slope, orientation) in enumerate(lanes):
+        x0, y0, s0 = float(x0), float(y0), float(slope)
+        if not math.isfinite(s0) or abs(s0) > chart_bound:
+            in_q[i] = True
+            s0 = 0.0 if not math.isfinite(s0) else 1.0 / s0
+        z[i] = (x0, y0, s0)
+        d[i, 0] = float(orientation)
+    ids = np.arange(len(lanes))
+    # One flat (x, y, x, y, ...) buffer per lane: 16 bytes a point.
+    bufs = [array("d", xy) for xy in z[:, :2].tolist()]
     h = step
     for _ in range(max_steps):
-        k1 = rhs(state, chart, direction)
-        k2 = rhs(state + 0.5 * h * k1, chart, direction)
-        k3 = rhs(state + 0.5 * h * k2, chart, direction)
-        k4 = rhs(state + h * k3, chart, direction)
-        new = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(new)):
+        if not ids.size:
             break
-        x, y, s = new
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            break
-        pts.append((float(x), float(y)))
-        state = new
-        if max(abs(f(x, y)) for f in coeff_fns) < flat_tol:
-            break
-        if abs(s) > chart_bound:
-            # Switch charts; the two tangent fields are antiparallel on
-            # the overlap, so keep the direction of travel by comparing
-            # with the step just taken.
-            other = "q" if chart == "v" else "v"
-            switched = np.array([x, y, 1.0 / s])
-            vec = rhs(switched, other, direction)
-            if vec[0] * k1[0] + vec[1] * k1[1] < 0:
-                direction = -direction
-            chart, state = other, switched
-    return np.array(pts)
+        groups = rows_by_chart(in_q)
+        k1 = rhs(z, groups, d)
+        k2 = rhs(z + 0.5 * h * k1, groups, d)
+        k3 = rhs(z + 0.5 * h * k2, groups, d)
+        k4 = rhs(z + h * k3, groups, d)
+        new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x, y, s = new.T
+        ok = np.isfinite(new).all(axis=1) & (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+        if not ok.all():
+            ids, x, y, s, new, in_q, d, k1 = (a[ok] for a in (ids, x, y, s, new, in_q, d, k1))
+        for i, xy in zip(ids.tolist(), new[:, :2].tolist()):
+            bufs[i].extend(xy)
+        # Flat umbilic: the largest |coefficient| (taken as max() would,
+        # first value kept on ties and NaN) falls below flat_tol.
+        vals = [np.abs(v) for v in coeff_system(x, y)]
+        largest = vals[0]
+        for v in vals[1:]:
+            largest = np.where(v > largest, v, largest)
+        live = ~(largest < flat_tol)
+        # Switch charts; the two tangent fields are antiparallel on the
+        # overlap, so keep the direction of travel by comparing with the
+        # step just taken.
+        sw = live & (np.abs(s) > chart_bound)
+        if sw.any():
+            switched = np.stack((x[sw], y[sw], 1.0 / s[sw]), axis=1)
+            vec = rhs(switched, rows_by_chart(~in_q[sw]), d[sw])
+            flip = vec[:, 0] * k1[sw, 0] + vec[:, 1] * k1[sw, 1] < 0
+            d[sw] = np.where(flip[:, None], -d[sw], d[sw])
+            in_q[sw] = ~in_q[sw]
+            new[sw] = switched
+        z = new
+        if not live.all():
+            z, in_q, d, ids = new[live], in_q[live], d[live], ids[live]
+    return [np.frombuffer(buf).reshape(-1, 2) for buf in bufs]
 
 
 def bde_residual(b: BDE, polyline: np.ndarray, params=(0, 0)) -> float:
@@ -229,27 +298,19 @@ def portrait(
     """Deterministic batch of integral curves covering the hyperbolic region.
 
     Seeds on a lattice where real directions exist; both foliations, both
-    orientations.  Returns a list of (N, 2) polylines.
+    orientations.  Every (seed, slope, orientation) lane is integrated in
+    one batch; each curve equals the ``integrate_field`` run of its lane
+    bit for bit.  Returns the polylines with more than one point, in lane
+    order.
     """
+    coeffs = _fix(b, params)
     xmin, xmax, ymin, ymax = window
-    curves = []
+    lanes = []
     for x0 in np.linspace(xmin, xmax, seeds):
         for y0 in np.linspace(ymin, ymax, seeds):
-            dirs = directions_at(b, (x0, y0), params)
+            dirs = _directions(coeffs, (x0, y0))
             if dirs == "all" or not dirs:
                 continue
-            for slope in dirs:
-                for orientation in (+1, -1):
-                    curve = integrate_field(
-                        b,
-                        (x0, y0),
-                        params,
-                        slope=slope,
-                        orientation=orientation,
-                        step=step,
-                        max_steps=max_steps,
-                        window=window,
-                    )
-                    if len(curve) > 1:
-                        curves.append(curve)
-    return curves
+            lanes += [(x0, y0, slope, o) for slope in dirs for o in (+1, -1)]
+    curves = _integrate(coeffs, lanes, step=step, max_steps=max_steps, window=window)
+    return [c for c in curves if len(c) > 1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .poly import Poly
+from .poly import Poly, coeff_float
 
 
 class CompiledPoly:
@@ -28,7 +28,7 @@ class CompiledPoly:
         self.args = args
         idx = {name: p.varlist.index(name) if name in p.varlist else None for name in args}
         self._terms = [
-            (float(c), tuple(e[idx[name]] if idx[name] is not None else 0 for name in args))
+            (coeff_float(c), tuple(e[idx[name]] if idx[name] is not None else 0 for name in args))
             for e, c in p.terms.items()
         ]
         self.source = p

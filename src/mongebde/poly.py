@@ -58,6 +58,16 @@ def _check_varlist(varlist: Iterable[str]) -> tuple[str, ...]:
     return vs
 
 
+def coeff_float(c) -> float:
+    """``float(c)`` for an exact coefficient, or a UsageError past the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise UsageError(
+            "a polynomial coefficient is too large for a float; use smaller parameters"
+        ) from None
+
+
 class Poly:
     """Immutable exact polynomial.
 
@@ -320,7 +330,7 @@ class Poly:
         total = 0.0
         vals = [float(values[name]) for name in self.varlist]
         for e, c in self.terms.items():
-            term = float(c)
+            term = coeff_float(c)
             for val, k in zip(vals, e):
                 if k:
                     term *= val**k

@@ -1,11 +1,21 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mongebde
 from mongebde.cli import run
-from mongebde.config import JobConfig, load_config_file, parse_pairs, parse_range
+from mongebde.config import (
+    MAX_RESOLUTION,
+    JobConfig,
+    load_config_file,
+    parse_pairs,
+    parse_range,
+)
 from mongebde.emit import curves_csv, scene_svg
 from mongebde.errors import UsageError
 from mongebde.poly import parse_poly
@@ -35,6 +45,12 @@ class TestConfig:
         ):
             with pytest.raises(UsageError):
                 JobConfig(command="sweep", table2="Pi_c2", **kwargs)
+
+    def test_resolution_bounded(self):
+        # Rejected while the config is built, before any grid is allocated.
+        JobConfig(command="flecnodal", table2="Pi_c2", resolution=MAX_RESOLUTION)
+        with pytest.raises(UsageError, match="exceeds the maximum"):
+            JobConfig(command="flecnodal", table2="Pi_c2", resolution=MAX_RESOLUTION + 1)
 
     def test_parse_helpers(self):
         assert parse_pairs(["alpha=1/2"])["alpha"] == 0.5
@@ -105,6 +121,34 @@ class TestExitCodes:
         assert run(["sweep", "--table2", "Pi_c2", "--t=-inf:0.1", "--grid", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_resolution_is_usage_error(self, capsys):
+        assert run(["flecnodal", "--table2", "Pi_c2", "--resolution", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flecnodal", "--table2", "Pi_c2", "--params=1e400,0", "--resolution", "16"],
+            ["sweep", "--table2", "Pi_c2", "--t=0:1e300", "--grid", "2"],
+            ["portrait", "--table2", "Pi_c2", "--params=1e400,0"],
+        ],
+    )
+    def test_huge_finite_parameters_are_usage_errors(self, argv):
+        # A separate interpreter, as a user runs it: the sweep's float
+        # evaluation overflows (a RuntimeWarning) before a coefficient
+        # leaves the float range, and only the exit code and the final
+        # line are in question here.
+        src = os.path.dirname(os.path.dirname(mongebde.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mongebde.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
 
     def test_elliptic_surface_has_empty_flecnodal_curve(self, tmp_path, capsys):
         # x^2 + y^2 has no asymptotic directions: its flecnodal eliminant

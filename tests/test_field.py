@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,3 +136,53 @@ class TestPortrait:
         )
         assert curves
         assert max(bde_residual(b, c, params=(0, 0)) for c in curves) < 1e-6
+
+    def test_lanes_match_single_runs(self):
+        # portrait integrates all its lanes in one batch; each curve must be
+        # the integrate_field run of its lane, bit for bit.  Between them the
+        # cases stop lanes by every rule: window exits, with chart switches
+        # (steep slopes near x = 0) beside lanes that start in the q chart,
+        # in the first; a flat umbilic (the second, scaled so flat_tol is
+        # reached 1e-3 from the origin); the step budget (the others), where
+        # the last has lanes on its discriminant y = 0 whose lifted field
+        # vanishes, so they stand still.
+        pi_c2 = asymptotic_bde(family_library("Pi_c2").f)
+        cases = [
+            (model("-1*x", "0", "1"), (-0.03, 0.07, -0.1, 0.1), (0, 0), 700),
+            (
+                model("1/10000000*x", "1/10000000*y", "1/10000000*x"),
+                (-0.2, 0.2, -0.2, 0.2), (0, 0), 300,
+            ),
+            (pi_c2, (-0.2, 0.2, -0.2, 0.2), (Fraction(-1, 20), 0), 300),
+            (model("1", "0", "-1*y"), (-0.3, 0.3, -0.3, 0.3), (0, 0), 300),
+        ]
+        portraits = []
+        for b, window, params, max_steps in cases:
+            curves = portrait(b, window, params, seeds=3, max_steps=max_steps)
+            portraits.append(curves)
+            singles = []
+            for x0 in np.linspace(window[0], window[1], 3):
+                for y0 in np.linspace(window[2], window[3], 3):
+                    dirs = directions_at(b, (x0, y0), params)
+                    if dirs == "all" or not dirs:
+                        continue
+                    for slope in dirs:
+                        for orientation in (+1, -1):
+                            curve = integrate_field(
+                                b, (x0, y0), params, slope=slope,
+                                orientation=orientation, max_steps=max_steps,
+                                window=window,
+                            )
+                            if len(curve) > 1:
+                                singles.append(curve)
+            assert len(curves) == len(singles)
+            for got, want in zip(curves, singles):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        switching, flat, budget, still = portraits
+        steep = [np.abs(np.diff(c[:, 1])) > 4 * np.abs(np.diff(c[:, 0])) for c in switching]
+        assert any(s.any() and not s.all() for s in steep)  # crossed |slope| = 4
+        assert any(len(c) < 701 for c in switching)  # left the window
+        assert any(len(c) < 301 and np.hypot(*c[-1]) < 1.01e-3 for c in flat)
+        assert any(len(c) == 301 for c in budget)
+        assert any(len(c) == 301 and (c == c[0]).all() for c in still)
