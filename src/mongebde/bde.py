@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping
 
 from .errors import UsageError
 from .poly import Poly, unify
@@ -31,20 +29,6 @@ class BDE:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "discriminant", b * b - a * c)
-
-    def at_params(self, t: Fraction | int, u: Fraction | int) -> "BDE":
-        """Substitute parameter values, keeping only (x, y) dependence."""
-        return BDE(*(_fix_params(p, t, u) for p in (self.a, self.b, self.c)))
-
-
-def _fix_params(p: Poly, t, u) -> Poly:
-    values: Mapping[str, Fraction] = {"t": Fraction(t), "u": Fraction(u)}
-    from .poly import substitute
-
-    bindings = {name: Poly.const(values[name], ()) for name in ("t", "u") if name in p.varlist}
-    if not bindings:
-        return p
-    return substitute(p, bindings)
 
 
 def asymptotic_bde(f: Poly) -> BDE:

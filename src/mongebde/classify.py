@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ClassificationError, InsufficientJetError, UsageError
-from .families import SurfaceFamily, display_label
+from .families import SurfaceFamily, display_label, fix_params
 from .poly import Poly, divexact, format_poly, parse_poly, poly_gcd, substitute, unify
 
 Move = dict[str, Any]
@@ -72,7 +72,7 @@ class ClassReport:
 
 def _surface_poly(f: "SurfaceFamily | Poly", params: tuple = (0, 0)) -> tuple[Poly, int]:
     if isinstance(f, SurfaceFamily):
-        g, trunc_deg = f.at_params(*params), f.trunc_deg
+        g, trunc_deg = fix_params(f.f, params), f.trunc_deg
     else:
         # A bare Poly is an exact polynomial, not a truncated jet: every
         # coefficient beyond its degree really is zero.

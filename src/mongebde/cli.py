@@ -12,6 +12,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .bde import asymptotic_bde
 from .classify import classify_monge
 from .config import (
@@ -232,12 +234,8 @@ def _cmd_portrait(cfg: JobConfig) -> int:
 
 def _cmd_sweep(cfg: JobConfig) -> int:
     fam = _load_family(cfg)
-    grid_n = min(cfg.grid, 12)
-    if grid_n < cfg.grid:
-        print(f"note: sweep grid clamped to {grid_n} (each cell costs an "
-              "exact-curve fingerprint; finer grids take minutes)")
     diagram = sweep(
-        fam, cfg.t_range, cfg.u_range, grid_n,
+        fam, cfg.t_range, cfg.u_range, cfg.grid,
         window=cfg.window, components=("gauss_cusps", "parabolic_singular"),
         cell_grid=40, bisect_tol=1e-3,
     )
@@ -281,26 +279,32 @@ def _cmd_golden_check(cfg: JobConfig) -> int:
 
 def run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _make_config(args)
-        if cfg.command == "classify":
-            return _cmd_classify(cfg)
-        if cfg.command in ("parabolic", "flecnodal"):
-            return _trace_command(cfg, cfg.command)
-        if cfg.command == "portrait":
-            return _cmd_portrait(cfg)
-        if cfg.command == "sweep":
-            return _cmd_sweep(cfg)
-        if cfg.command == "verify-locus":
-            return _cmd_verify_locus(cfg)
-        if cfg.command == "golden-check":
-            return _cmd_golden_check(cfg)
-        raise UsageError(f"unhandled command {cfg.command!r}")
+        # Finite parameters can still overflow once evaluated in floats.
+        # Underflow is left alone: it is harmless and happens in normal runs.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args = _build_parser().parse_args(argv)
+            cfg = _make_config(args)
+            if cfg.command == "classify":
+                return _cmd_classify(cfg)
+            if cfg.command in ("parabolic", "flecnodal"):
+                return _trace_command(cfg, cfg.command)
+            if cfg.command == "portrait":
+                return _cmd_portrait(cfg)
+            if cfg.command == "sweep":
+                return _cmd_sweep(cfg)
+            if cfg.command == "verify-locus":
+                return _cmd_verify_locus(cfg)
+            if cfg.command == "golden-check":
+                return _cmd_golden_check(cfg)
+            raise UsageError(f"unhandled command {cfg.command!r}")
     except ClassificationError as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: float evaluation failed ({exc}); use smaller parameters", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -28,6 +28,9 @@ COMMANDS = (
 #: (resolution + 1)^2 float grids (34 MB each at 2048) and visits every
 #: cell in a Python loop.
 MAX_RESOLUTION = 2048
+#: Largest sweep grid.  Each grid cell and each bisection step costs a
+#: fingerprint; a grid-12 sweep already takes about a minute.
+MAX_GRID = 12
 
 
 @dataclass
@@ -39,7 +42,7 @@ class JobConfig:
     signs: dict = field(default_factory=dict)
     params: tuple | None = None  # (t, u) as Fractions
     window: tuple = (-0.5, 0.5, -0.5, 0.5)
-    grid: int = 64
+    grid: int = MAX_GRID
     resolution: int = 128
     axis: str | None = None
     out: str | None = None
@@ -69,6 +72,8 @@ class JobConfig:
             raise UsageError(
                 f"resolution {self.resolution} exceeds the maximum {MAX_RESOLUTION}"
             )
+        if self.grid > MAX_GRID:
+            raise UsageError(f"grid {self.grid} exceeds the maximum {MAX_GRID}")
         if self.axis not in (None, "x", "y"):
             raise UsageError("axis must be 'x' or 'y'")
 

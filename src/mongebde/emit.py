@@ -17,6 +17,8 @@ PARABOLIC_COLOR = "black"
 FLECNODAL_COLOR = "gray"
 PORTRAIT_COLOR = "#9ecae1"
 LOCUS_COLOR = "#d62728"
+#: Width and height of every SVG, in pixels.
+SVG_SIZE = 480
 MARKERS = {
     "node": "#1f77b4",
     "cusp": "#d62728",
@@ -47,11 +49,11 @@ def curves_csv(named_curves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_header(window, size: int):
+def _svg_header(window):
     xmin, xmax, ymin, ymax = window
     w, h = xmax - xmin, ymax - ymin
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
         f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(w)} {_fmt(h)}">'
     )
 
@@ -75,13 +77,13 @@ def _marker(x, y, color: str, r: float, label: str | None = None) -> str:
     return out
 
 
-def scene_svg(scene, size: int = 480) -> str:
+def scene_svg(scene) -> str:
     """One panel: parabolic (black), flecnodal (gray), markers, portrait."""
     window = scene.window
     xmin, xmax, ymin, ymax = window
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     lw, r = span / 400, span / 120
-    parts = [_svg_header(window, size)]
+    parts = [_svg_header(window)]
     for curve in scene.portrait_curves:
         parts.append(_path(curve, PORTRAIT_COLOR, lw))
     for traced, color in ((scene.parabolic, PARABOLIC_COLOR), (scene.flecnodal, FLECNODAL_COLOR)):
@@ -99,14 +101,14 @@ def scene_svg(scene, size: int = 480) -> str:
     return "\n".join(p for p in parts if p) + "\n"
 
 
-def diagram_svg(diagram, size: int = 480) -> str:
+def diagram_svg(diagram) -> str:
     """Parameter plane with traced loci and the fingerprint lattice."""
     ts, us = diagram.t_values, diagram.u_values
     tmin, tmax = float(ts[0]), float(ts[-1])
     umin, umax = (float(us[0]), float(us[-1])) if len(us) > 1 else (-1e-3, 1e-3)
     window = (tmin, tmax, umin, umax)
     span = max(tmax - tmin, umax - umin, 1e-9)
-    parts = [_svg_header(window, size)]
+    parts = [_svg_header(window)]
     for i, t in enumerate(ts):
         for j, u in enumerate(us):
             parts.append(_marker(float(t), float(u), "#cccccc", span / 200))

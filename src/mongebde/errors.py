@@ -23,7 +23,3 @@ class InsufficientJetError(ClassificationError):
 
 class NotAnIDEError(MongeBDEError):
     """BDE has a(0,0)=0, so the implicit-differential-equation reduction does not apply."""
-
-
-class VerificationError(MongeBDEError):
-    """A golden-file or closed-form verification failed."""

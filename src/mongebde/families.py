@@ -43,18 +43,31 @@ class SurfaceFamily:
             if origin and not substitute(g, origin).is_zero():
                 raise UsageError("family must vanish to second order at the origin")
 
-    def at_params(self, t: Fraction | int = 0, u: Fraction | int = 0) -> Poly:
-        """The member surface with parameters substituted (exactly)."""
-        bindings = {}
-        if "t" in self.f.varlist:
-            bindings["t"] = Poly.const(Fraction(t), ())
-        if "u" in self.f.varlist:
-            bindings["u"] = Poly.const(Fraction(u), ())
-        return substitute(self.f, bindings) if bindings else self.f
-
     @property
     def n_params(self) -> int:
         return sum(1 for n in ("t", "u") if n in self.f.varlist)
+
+
+def fix_params(p: Poly, params=(0, 0)) -> Poly:
+    """Substitute (t, u) exactly (rationals preferred) and drop unused vars.
+
+    Every polynomial at fixed parameter values is built here.
+    """
+    t, u = params
+    bindings = {}
+    for name, value in (("t", t), ("u", u)):
+        if name in p.varlist:
+            bindings[name] = Poly.const(_as_fraction(value), ())
+    return (substitute(p, bindings) if bindings else p).restrict()
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value).limit_denominator(10**12)
+    except (OverflowError, ValueError):
+        raise UsageError(f"parameter {value!r} is not a finite number") from None
 
 
 def surface(text: str, trunc_deg: int = 6, axis: Axis = "x") -> SurfaceFamily:

@@ -29,13 +29,17 @@ import numpy as np
 
 from .bde import BDE
 from .errors import UsageError
+from .families import fix_params
 from .numeval import CompiledSystem, compile_poly
 from .poly import Poly
-from .trace import fix_params
 
 #: slope variable: v plays the role of p = dy/dx on the lifted surface.
 _SLOPE = "v"
 _LIFT_VARS = ("x", "y", _SLOPE)
+#: A lane runs in the q = 1/p chart while its slope is steeper than this.
+CHART_BOUND = 4.0
+#: A point is a flat umbilic when every |coefficient| is below this.
+FLAT_TOL = 1e-10
 
 
 def _fix(b: BDE, params=(0, 0)) -> tuple[Poly, Poly, Poly]:
@@ -99,22 +103,22 @@ def _lift(coeffs) -> LiftedField:
     return LiftedField(F=F, dx=dx, dy=dy, dv=dv)
 
 
-def directions_at(b: BDE, point, params=(0, 0), flat_tol: float = 1e-10):
+def directions_at(b: BDE, point, params=(0, 0)):
     """Real asymptotic slopes at a point: [], one or two values, or "all".
 
     A vertical direction is reported as ``math.inf`` (found in the
     reciprocal chart when the leading coefficient vanishes); at a flat
-    umbilic every direction solves the equation and the string ``"all"``
-    is returned.
+    umbilic (every |coefficient| below ``FLAT_TOL``) every direction
+    solves the equation and the string ``"all"`` is returned.
     """
-    return _directions(_fix(b, params), point, flat_tol)
+    return _directions(_fix(b, params), point)
 
 
-def _directions(coeffs, point, flat_tol: float = 1e-10):
+def _directions(coeffs, point):
     vals = {"x": float(point[0]), "y": float(point[1]), _SLOPE: 0.0}
     av, bv, cv = (q.eval_float(vals) for q in coeffs)
     scale = max(abs(av), abs(bv), abs(cv))
-    if scale < flat_tol:
+    if scale < FLAT_TOL:
         return "all"
     disc = bv * bv - av * cv
     if disc < 0:
@@ -139,15 +143,13 @@ def integrate_field(
     step: float = 1e-3,
     max_steps: int = 10**5,
     window=(-0.5, 0.5, -0.5, 0.5),
-    chart_bound: float = 4.0,
-    flat_tol: float = 1e-10,
 ) -> np.ndarray:
     """One integral curve of one foliation, as an (N, 2) polyline.
 
     Fixed-step RK4 on the lifted surface with the field normalized to
     unit speed, so ``step`` is arclength on the lift.  Stops on window
     exit, step budget, or approach to a flat umbilic (all three
-    coefficients below ``flat_tol``).  Crossing the discriminant needs no
+    coefficients below ``FLAT_TOL``).  Crossing the discriminant needs no
     special casing: the lifted field is regular there and the projection
     produces the cusp by itself.  The curve is one lane of the batched
     integrator that ``portrait`` uses, run alone; it equals the matching
@@ -155,7 +157,7 @@ def integrate_field(
     """
     coeffs = _fix(b, params)
     if slope is None:
-        dirs = _directions(coeffs, seed, flat_tol)
+        dirs = _directions(coeffs, seed)
         if dirs == "all":
             raise UsageError("seed is a flat umbilic: every direction is asymptotic")
         if not dirs:
@@ -164,22 +166,19 @@ def integrate_field(
     (curve,) = _integrate(
         coeffs, [(seed[0], seed[1], slope, orientation)],
         step=step, max_steps=max_steps, window=window,
-        chart_bound=chart_bound, flat_tol=flat_tol,
     )
     return curve
 
 
-def _integrate(
-    coeffs, lanes, *, step, max_steps, window, chart_bound=4.0, flat_tol=1e-10
-) -> list:
+def _integrate(coeffs, lanes, *, step, max_steps, window) -> list:
     """Fixed-step RK4 on every lane ``(x0, y0, slope, orientation)`` at once.
 
     Returns one (N, 2) polyline per lane, in lane order.  A lane starts in
-    the q chart when its slope is vertical or steeper than ``chart_bound``.
+    the q chart when its slope is vertical or steeper than ``CHART_BOUND``.
     Each step, a lane whose new state is not finite or leaves the window
     stops without appending it; otherwise the point is appended, the lane
     stops if it reached a flat umbilic, and else switches charts when
-    |slope| > ``chart_bound``.  Stopped lanes drop out of the arrays, so
+    |slope| > ``CHART_BOUND``.  Stopped lanes drop out of the arrays, so
     the fields are only ever evaluated on live lanes.
     """
     lift = _lift(coeffs)
@@ -217,7 +216,7 @@ def _integrate(
     d = np.empty((len(lanes), 1))  # direction, a column to scale (x, y, v) rows
     for i, (x0, y0, slope, orientation) in enumerate(lanes):
         x0, y0, s0 = float(x0), float(y0), float(slope)
-        if not math.isfinite(s0) or abs(s0) > chart_bound:
+        if not math.isfinite(s0) or abs(s0) > CHART_BOUND:
             in_q[i] = True
             s0 = 0.0 if not math.isfinite(s0) else 1.0 / s0
         z[i] = (x0, y0, s0)
@@ -242,16 +241,16 @@ def _integrate(
         for i, xy in zip(ids.tolist(), new[:, :2].tolist()):
             bufs[i].extend(xy)
         # Flat umbilic: the largest |coefficient| (taken as max() would,
-        # first value kept on ties and NaN) falls below flat_tol.
+        # first value kept on ties and NaN) falls below FLAT_TOL.
         vals = [np.abs(v) for v in coeff_system(x, y)]
         largest = vals[0]
         for v in vals[1:]:
             largest = np.where(v > largest, v, largest)
-        live = ~(largest < flat_tol)
+        live = ~(largest < FLAT_TOL)
         # Switch charts; the two tangent fields are antiparallel on the
         # overlap, so keep the direction of travel by comparing with the
         # step just taken.
-        sw = live & (np.abs(s) > chart_bound)
+        sw = live & (np.abs(s) > CHART_BOUND)
         if sw.any():
             switched = np.stack((x[sw], y[sw], 1.0 / s[sw]), axis=1)
             vec = rhs(switched, rows_by_chart(~in_q[sw]), d[sw])

@@ -62,38 +62,41 @@ def compute_exact() -> dict:
     return out
 
 
+def _points(points) -> list:
+    return sorted([float(x), float(y)] for x, y in points)
+
+
+#: Traced artifacts: name -> (compute, tol, note).  A point set is stored
+#: as computed.  An entry with a note is a scalar residual whose stored
+#: value is its target 0.0; the note says what is computed.
+_TRACED = {
+    "gauss_cusps/Pi_c2@t=-1/20": (
+        lambda: _points(gauss_cusps(family_library("Pi_c2"), (Fraction(-1, 20), 0))),
+        1e-6,
+        None,
+    ),
+    "butterflies/Pi_v3@t=-1/100": (
+        lambda: _points(butterfly_points(family_library("Pi_v3"), params=(Fraction(-1, 100), 0))),
+        1e-5,
+        None,
+    ),
+    "parametrization_residual@t=-1/100": (
+        lambda: flecnodal_parametrization_check(t=-0.01, n_samples=11),
+        1e-8,
+        "max |eliminant| along the closed-form branch",
+    ),
+}
+
+
 def compute_traced() -> dict:
     """Tolerance-class artifacts, as {name: {value, tol}}."""
-    cusps = gauss_cusps(family_library("Pi_c2"), (Fraction(-1, 20), 0))
-    butterflies = butterfly_points(family_library("Pi_v3"), params=(Fraction(-1, 100), 0))
-    return {
-        "gauss_cusps/Pi_c2@t=-1/20": {
-            "value": sorted([float(x), float(y)] for x, y in cusps),
-            "tol": 1e-6,
-        },
-        "butterflies/Pi_v3@t=-1/100": {
-            "value": sorted([float(x), float(y)] for x, y in butterflies),
-            "tol": 1e-5,
-        },
-        "parametrization_residual@t=-1/100": {
-            "value": 0.0,
-            "tol": 1e-8,
-            "scalar": True,
-            "computed": "max |eliminant| along the closed-form branch",
-        },
-    }
-
-
-def _traced_value(name: str):
-    if name.startswith("gauss_cusps/"):
-        cusps = gauss_cusps(family_library("Pi_c2"), (Fraction(-1, 20), 0))
-        return sorted([float(x), float(y)] for x, y in cusps)
-    if name.startswith("butterflies/"):
-        pts = butterfly_points(family_library("Pi_v3"), params=(Fraction(-1, 100), 0))
-        return sorted([float(x), float(y)] for x, y in pts)
-    if name.startswith("parametrization_residual"):
-        return flecnodal_parametrization_check(t=-0.01, n_samples=11)
-    raise UsageError(f"unknown traced artifact {name!r}")
+    out = {}
+    for name, (compute, tol, note) in _TRACED.items():
+        if note is None:
+            out[name] = {"value": compute(), "tol": tol}
+        else:
+            out[name] = {"value": 0.0, "tol": tol, "scalar": True, "computed": note}
+    return out
 
 
 @dataclass
@@ -137,7 +140,9 @@ def check_goldens(path: str) -> list:
     for name in sorted(stored_traced):
         entry = stored_traced[name]
         tol = float(entry["tol"])
-        got = _traced_value(name)
+        if name not in _TRACED:
+            raise UsageError(f"unknown traced artifact {name!r}")
+        got = _TRACED[name][0]()
         if entry.get("scalar"):
             ok = abs(float(got) - float(entry["value"])) <= tol
             detail = f"value {got:.3g} vs {entry['value']} (tol {tol:g})"

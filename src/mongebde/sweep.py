@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bde import asymptotic_bde
 from .errors import UsageError
 from .families import SurfaceFamily
 from .flecnodal import flecnodal_system, parabolic_poly
@@ -38,6 +37,14 @@ DEFAULT_COMPONENTS = (
     "flecnodal_singular",
     "parabolic_branches",
 )
+#: Marching-squares resolution of the ``*_branches`` fingerprint components.
+BRANCH_RESOLUTION = 32
+#: A closed-form locus passes the numerical check when it is at most this
+#: large on every point of some traced locus.
+LOCUS_RESIDUAL_TOL = 1e-6
+#: The exact locus check is skipped for curves of higher degree in x or y,
+#: whose resultants are impractical.
+MAX_EXACT_DEGREE = 12
 
 
 @dataclass
@@ -90,7 +97,6 @@ def fingerprint(
     components: tuple = DEFAULT_COMPONENTS,
     *,
     grid: int = 64,
-    resolution: int = 32,
     _cache: "_FamilyCurves | None" = None,
 ) -> tuple:
     """Event counts at fixed parameter values, in ``components`` order."""
@@ -105,14 +111,10 @@ def fingerprint(
             out.append(len(butterfly_points(fam, window, params)))
         elif name == "flecnodal_singular":
             out.append(_typed_count(curve_singularities(cache.flecnodal, window, params, grid=grid)))
-        elif name == "parabolic_branches":
-            out.append(
-                trace_zero_set(cache.parabolic, window, resolution, params, mark_singular=False).n_branches()
-            )
-        elif name == "flecnodal_branches":
-            out.append(
-                trace_zero_set(cache.flecnodal, window, resolution, params, mark_singular=False).n_branches()
-            )
+        elif name in ("parabolic_branches", "flecnodal_branches"):
+            curve = cache.parabolic if name == "parabolic_branches" else cache.flecnodal
+            traced = trace_zero_set(curve, window, BRANCH_RESOLUTION, params, mark_singular=False)
+            out.append(traced.n_branches())
         else:
             raise UsageError(f"unknown fingerprint component {name!r}")
     return tuple(out)
@@ -155,7 +157,6 @@ def sweep(
     window: Window = DEFAULT_WINDOW,
     components: tuple = DEFAULT_COMPONENTS,
     cell_grid: int = 64,
-    resolution: int = 32,
     bisect_tol: float = 1e-8,
 ) -> BifurcationDiagram:
     """Fingerprint the parameter grid and trace loci where cells disagree.
@@ -170,10 +171,7 @@ def sweep(
     us = np.linspace(u_range[0], u_range[1], grid_n) if has_u else np.array([0.0])
 
     def fp_at(params, comps=components):
-        return fingerprint(
-            fam, params, window, comps,
-            grid=cell_grid, resolution=resolution, _cache=cache,
-        )
+        return fingerprint(fam, params, window, comps, grid=cell_grid, _cache=cache)
 
     grid = [[fp_at((t, u)) for u in us] for t in ts]
 
@@ -272,21 +270,19 @@ def event_locus_verify(
     diagram: BifurcationDiagram | None = None,
     *,
     curve: str = "parabolic",
-    tol: float = 1e-6,
-    max_exact_degree: int = 12,
 ) -> LocusVerification:
     """Check a closed-form locus equation in (t, u) against the family.
 
     Exact part: the closed form must divide the iterated-resultant
     eliminant of the singularity system of the chosen curve (skipped when
-    the curve's degree makes resultants impractical).  Numerical part
-    (when a diagram is given): the closed form must nearly vanish on some
-    traced locus.
+    the curve's degree in x or y exceeds ``MAX_EXACT_DEGREE``).  Numerical
+    part (when a diagram is given): the closed form must be at most
+    ``LOCUS_RESIDUAL_TOL`` on every point of some traced locus.
     """
     source = parabolic_poly(fam) if curve == "parabolic" else flecnodal_system(fam).eliminant
     exact: bool | None = None
     notes = []
-    if max(source.degree("x"), source.degree("y")) <= max_exact_degree:
+    if max(source.degree("x"), source.degree("y")) <= MAX_EXACT_DEGREE:
         eliminant = singular_parameter_eliminant(source)
         exact = _divides(closed_form, eliminant)
         notes.append(f"exact factor: {'yes' if exact else 'NO'}")
@@ -307,7 +303,7 @@ def event_locus_verify(
             per_locus.append(max(vals) if vals else math.inf)
         residual = min(per_locus)
         notes.append(f"best locus residual: {residual:.3g}")
-        if residual > tol:
+        if residual > LOCUS_RESIDUAL_TOL:
             return LocusVerification(exact, residual, False, "; ".join(notes))
 
     ok = exact is not False
@@ -339,7 +335,6 @@ def panel_scene(
     window: Window = DEFAULT_WINDOW,
     *,
     resolution: int = 128,
-    with_portrait: bool = False,
     with_butterflies: bool = True,
 ) -> Scene:
     """Traced parabolic and flecnodal curves plus special-point markers."""
@@ -347,7 +342,7 @@ def panel_scene(
     if xmin >= xmax or ymin >= ymax:
         return Scene(tuple(params), window, None, None, [], [])
     curves = _FamilyCurves(fam)
-    scene = Scene(
+    return Scene(
         params=tuple(params),
         window=window,
         parabolic=trace_zero_set(curves.parabolic, window, resolution, params),
@@ -355,10 +350,3 @@ def panel_scene(
         gauss_cusps=gauss_cusps(fam, params, window, _cache=curves),
         butterflies=butterfly_points(fam, window, params) if with_butterflies else [],
     )
-    if with_portrait:
-        from .field import portrait
-
-        scene.portrait_curves = portrait(
-            asymptotic_bde(fam.f), window, params, seeds=5, max_steps=1500
-        )
-    return scene

@@ -15,37 +15,39 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import UsageError
-from .families import SurfaceFamily
+from .families import SurfaceFamily, family_library, fix_params
 from .flecnodal import FlecnodalSystem, flecnodal_system, parabolic_poly
 from .numeval import CompiledSystem, compile_gradient, compile_poly
-from .poly import Poly, substitute, unify
+from .poly import Poly, unify
 
 Window = tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
 DEFAULT_WINDOW: Window = (-0.5, 0.5, -0.5, 0.5)
 
-
-def fix_params(p: Poly, params=(0, 0)) -> Poly:
-    """Substitute (t, u) exactly (rationals preferred) and drop unused vars."""
-    t, u = params
-    bindings = {}
-    for name, value in (("t", t), ("u", u)):
-        if name in p.varlist:
-            bindings[name] = Poly.const(_as_fraction(value), ())
-    return (substitute(p, bindings) if bindings else p).restrict()
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    try:
-        return Fraction(value).limit_denominator(10**12)
-    except (OverflowError, ValueError):
-        raise UsageError(f"parameter {value!r} is not a finite number") from None
+#: Solver points closer than this to a point kept before them are merged
+#: into it (singular points, cusps of Gauss, butterfly points).
+DEDUPE_RADIUS = 1e-6
+#: Singular points: Newton stops once every step is shorter than
+#: SINGULAR_NEWTON_TOL; a point is kept when |p| <= SINGULAR_RESIDUAL_TOL
+#: and |grad p| <= sqrt(SINGULAR_RESIDUAL_TOL).
+SINGULAR_NEWTON_TOL = 1e-12
+SINGULAR_RESIDUAL_TOL = 1e-10
+#: Marching squares refines each edge crossing until |p| <= REFINE_TOL.
+REFINE_TOL = 1e-9
+#: Cusps of Gauss: |P|, |S| <= CUSP_ON_CURVE_TOL and
+#: |grad P x grad S| <= CUSP_PARALLEL_TOL.
+CUSP_ON_CURVE_TOL = 1e-8
+CUSP_PARALLEL_TOL = 1e-8
+#: Butterfly points: a BUTTERFLY_GRID^2 lattice of (x, y) seeds times
+#: BUTTERFLY_V_SEEDS direction seeds in [-2, 2]; a solution is kept when
+#: |v| <= BUTTERFLY_VMAX and |e2|, |e3|, |e4| <= BUTTERFLY_RESIDUAL_TOL.
+BUTTERFLY_GRID = 10
+BUTTERFLY_V_SEEDS = 9
+BUTTERFLY_VMAX = 10.0
+BUTTERFLY_RESIDUAL_TOL = 1e-9
 
 
 class _FamilyCurves:
@@ -84,9 +86,6 @@ def curve_singularities(
     params=None,
     *,
     grid: int = 64,
-    newton_tol: float = 1e-12,
-    residual_tol: float = 1e-10,
-    dedupe: float = 1e-6,
 ) -> list:
     """Solutions of p = p_x = p_y = 0 in the window, classified.
 
@@ -106,13 +105,13 @@ def curve_singularities(
     # seed has stalled or converged.
     X, Y = _newton2(
         (px, py, px.partial("x"), px.partial("y"), px.partial("y"), py.partial("y")),
-        window, grid, 300, newton_tol,
+        window, grid, 300, SINGULAR_NEWTON_TOL,
     )
     v, vx, vy = CompiledSystem((p, px, py))(X, Y)
     grad = np.hypot(vx, vy)
-    ok = (np.abs(v) <= residual_tol) & (grad <= math.sqrt(residual_tol))
+    ok = (np.abs(v) <= SINGULAR_RESIDUAL_TOL) & (grad <= math.sqrt(SINGULAR_RESIDUAL_TOL))
     order = np.argsort(np.abs(v[ok]) + grad[ok])
-    points = _dedupe(np.column_stack([X[ok][order], Y[ok][order]]), dedupe)
+    points = _dedupe(np.column_stack([X[ok][order], Y[ok][order]]), DEDUPE_RADIUS)
     return [((float(x0), float(y0)), _classify_point(p, x0, y0)) for x0, y0 in points]
 
 
@@ -174,7 +173,6 @@ def trace_zero_set(
     resolution: int = 128,
     params=None,
     *,
-    refine_tol: float = 1e-9,
     mark_singular: bool = True,
 ) -> TracedCurve:
     """Marching squares with Newton refinement; branches split at singular points."""
@@ -202,7 +200,7 @@ def trace_zero_set(
         s = 0.5 if v0 == v1 else v0 / (v0 - v1)
         x = xs[i0] + (xs[i1] - xs[i0]) * s
         y = ys[j0] + (ys[j1] - ys[j0]) * s
-        x, y = _newton_onto_curve(fp, fx, fy, x, y, refine_tol)
+        x, y = _newton_onto_curve(fp, fx, fy, x, y, REFINE_TOL)
         edge_pts[key] = (x, y)
         return key
 
@@ -387,9 +385,6 @@ def gauss_cusps(
     window: Window = DEFAULT_WINDOW,
     *,
     grid: int = 64,
-    parallel_tol: float = 1e-8,
-    on_curve_tol: float = 1e-8,
-    dedupe: float = 1e-6,
     _cache: "_FamilyCurves | None" = None,
 ) -> list:
     """Tangency points of the parabolic and flecnodal curves.
@@ -415,8 +410,9 @@ def gauss_cusps(
         window, grid, 60,
     )
     vP, vc, vS = CompiledSystem((P, cross, S))(X, Y)
-    ok = (np.abs(vP) <= on_curve_tol) & (np.abs(vc) <= parallel_tol) & (np.abs(vS) <= on_curve_tol)
-    pts = _dedupe(np.column_stack([X[ok], Y[ok]]), dedupe)
+    ok = (np.abs(vP) <= CUSP_ON_CURVE_TOL) & (np.abs(vS) <= CUSP_ON_CURVE_TOL)
+    ok &= np.abs(vc) <= CUSP_PARALLEL_TOL
+    pts = _dedupe(np.column_stack([X[ok], Y[ok]]), DEDUPE_RADIUS)
     return [(float(x0), float(y0)) for x0, y0 in pts]
 
 
@@ -459,12 +455,6 @@ def butterfly_points(
     f: "SurfaceFamily | FlecnodalSystem",
     window: Window = DEFAULT_WINDOW,
     params=(0, 0),
-    *,
-    vmax: float = 10.0,
-    grid: int = 10,
-    v_seeds: int = 9,
-    residual_tol: float = 1e-9,
-    dedupe: float = 1e-6,
 ) -> list:
     """Points of 5-point contact: common zeros of e2 = e3 = e4.
 
@@ -481,25 +471,25 @@ def butterfly_points(
     found = []
     for fs in systems:
         eqs = [fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)]
-        Z = _newton3(eqs, window, grid, v_seeds, vmax)
+        Z = _newton3(eqs, window)
         X, Y, V = (np.ascontiguousarray(Z[:, k]) for k in range(3))
-        ok = np.abs(V) <= vmax
+        ok = np.abs(V) <= BUTTERFLY_VMAX
         for r in CompiledSystem(eqs, ("x", "y", "v"))(X, Y, V):
-            ok &= np.abs(r) <= residual_tol
+            ok &= np.abs(r) <= BUTTERFLY_RESIDUAL_TOL
         found.append(np.column_stack([X[ok], Y[ok]]))
-    return [(float(x0), float(y0)) for x0, y0 in _dedupe(np.vstack(found), dedupe)]
+    return [(float(x0), float(y0)) for x0, y0 in _dedupe(np.vstack(found), DEDUPE_RADIUS)]
 
 
-def _newton3(eqs, window: Window, grid: int, v_seeds: int, vmax: float, iters: int = 60):
+def _newton3(eqs, window: Window, iters: int = 60):
     eqs = list(unify(*eqs))
     args = ("x", "y", "v")
     jac = [e.partial(n) if n in e.varlist else Poly.zero(e.varlist) for e in eqs for n in args]
     evaluate = CompiledSystem(eqs + jac, args)
     xmin, xmax, ymin, ymax = window
     gx, gy, gv = np.meshgrid(
-        np.linspace(xmin, xmax, grid),
-        np.linspace(ymin, ymax, grid),
-        np.linspace(-2.0, 2.0, v_seeds),
+        np.linspace(xmin, xmax, BUTTERFLY_GRID),
+        np.linspace(ymin, ymax, BUTTERFLY_GRID),
+        np.linspace(-2.0, 2.0, BUTTERFLY_V_SEEDS),
     )
     Z = np.column_stack([gx.ravel(), gy.ravel(), gv.ravel()])
     for _ in range(iters):
@@ -518,31 +508,24 @@ def _newton3(eqs, window: Window, grid: int, v_seeds: int, vmax: float, iters: i
     return Z[ok]
 
 
-def flecnodal_parametrization_check(
-    f: "SurfaceFamily | None" = None,
-    t: float = -0.01,
-    n_samples: int = 11,
-    v_range: float = 0.05,
-) -> float:
+def flecnodal_parametrization_check(t: float = -0.01, n_samples: int = 11) -> float:
     """Max |eliminant| along the closed-form flecnodal parametrization.
 
-    The check applies to the binodal deformation y^2 + x^4 + x^2 y^2 + t x^2
-    (t < 0).  Solving e3 = 0 gives y = -x(2 + v^2)/v; substituting into
-    e2 = 0 yields the exact parametrization
+    The check runs on Pi_v1++ with its default moduli, the binodal
+    deformation y^2 + x^4 + x^2 y^2 + t x^2 (t < 0).  Solving e3 = 0 gives
+    y = -x(2 + v^2)/v; substituting into e2 = 0 yields the exact
+    parametrization
 
         x = +-      v  sqrt(-t - v^2) / sqrt(2 (2 + v^2 - v^4)),
         y = -+ (2+v^2) sqrt(-t - v^2) / sqrt(2 (2 + v^2 - v^4)),
 
-    valid for t <= -v^2.  The eliminant must vanish along it to float
-    precision.
+    valid for t <= -v^2.  The ``n_samples`` values of v are spread over
+    [-0.05, 0.05].  The eliminant must vanish along it to float precision.
     """
-    from .families import family_library
-
-    fam = f or family_library("Pi_v1++")
-    elim = fix_params(flecnodal_system(fam).eliminant, (t, 0))
+    elim = fix_params(flecnodal_system(family_library("Pi_v1++")).eliminant, (t, 0))
     fe = compile_poly(_in_xy(elim))
     worst = 0.0
-    for v in np.linspace(-v_range, v_range, n_samples):
+    for v in np.linspace(-0.05, 0.05, n_samples):
         if -t - v * v < 0:
             continue
         scale = math.sqrt(-t - v * v) / math.sqrt(2 * (2 + v * v - v**4))

@@ -10,6 +10,7 @@ import pytest
 import mongebde
 from mongebde.cli import run
 from mongebde.config import (
+    MAX_GRID,
     MAX_RESOLUTION,
     JobConfig,
     load_config_file,
@@ -51,6 +52,12 @@ class TestConfig:
         JobConfig(command="flecnodal", table2="Pi_c2", resolution=MAX_RESOLUTION)
         with pytest.raises(UsageError, match="exceeds the maximum"):
             JobConfig(command="flecnodal", table2="Pi_c2", resolution=MAX_RESOLUTION + 1)
+
+    def test_grid_bounded(self):
+        # A larger grid is an error, not silently clamped.
+        assert JobConfig(command="sweep", table2="Pi_c2").grid == MAX_GRID
+        with pytest.raises(UsageError, match="exceeds the maximum"):
+            JobConfig(command="sweep", table2="Pi_c2", grid=MAX_GRID + 1)
 
     def test_parse_helpers(self):
         assert parse_pairs(["alpha=1/2"])["alpha"] == 0.5
@@ -127,28 +134,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_large_grid_is_usage_error(self, capsys):
+        assert run(["sweep", "--table2", "Pi_c2", "--grid", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["flecnodal", "--table2", "Pi_c2", "--params=1e400,0", "--resolution", "16"],
             ["sweep", "--table2", "Pi_c2", "--t=0:1e300", "--grid", "2"],
             ["portrait", "--table2", "Pi_c2", "--params=1e400,0"],
+            ["portrait", "--table2", "Pi_c2", "--params=1e200,0", "--resolution", "16"],
         ],
     )
     def test_huge_finite_parameters_are_usage_errors(self, argv):
-        # A separate interpreter, as a user runs it: the sweep's float
-        # evaluation overflows (a RuntimeWarning) before a coefficient
-        # leaves the float range, and only the exit code and the final
-        # line are in question here.
+        # A separate interpreter, as a user runs it, with numpy's
+        # RuntimeWarnings turned into errors: a float evaluation that
+        # overflows must end in the one error line, with no warning first.
         src = os.path.dirname(os.path.dirname(mongebde.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-m", "mongebde.cli", *argv],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mongebde.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_elliptic_surface_has_empty_flecnodal_curve(self, tmp_path, capsys):
         # x^2 + y^2 has no asymptotic directions: its flecnodal eliminant

@@ -142,7 +142,7 @@ class TestPortrait:
         # the integrate_field run of its lane, bit for bit.  Between them the
         # cases stop lanes by every rule: window exits, with chart switches
         # (steep slopes near x = 0) beside lanes that start in the q chart,
-        # in the first; a flat umbilic (the second, scaled so flat_tol is
+        # in the first; a flat umbilic (the second, scaled so FLAT_TOL is
         # reached 1e-3 from the origin); the step budget (the others), where
         # the last has lanes on its discriminant y = 0 whose lifted field
         # vanishes, so they stand still.

@@ -1,6 +1,8 @@
-"""Source hygiene: no module under src/mongebde imports a name it never uses."""
+"""Source hygiene: no module under src/mongebde imports a name it never uses,
+and every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mongebde"
@@ -58,3 +60,27 @@ def test_no_unused_imports_in_src():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/tracer.py wraps these names and fails on a missing one; read
+    # its table as text so the test does not depend on the benchmark code.
+    tracer = SRC.parent.parent / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    missing = []
+    for module_name, attr in targets:
+        module = importlib.import_module(f"mongebde.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            cls = getattr(module, cls_name, None)
+            if cls is None or method not in vars(cls):
+                missing.append(f"{module_name}.{attr}")
+        elif not hasattr(module, attr):
+            missing.append(f"{module_name}.{attr}")
+    assert targets and missing == []
