@@ -9,12 +9,10 @@ from .ide import to_ide, versality_check
 from .poly import (
     Poly,
     Rational,
-    arith,
     eta,
     format_poly,
     normalize_primitive,
     parse_poly,
-    partial,
     resultant,
     substitute,
     unify,
@@ -29,7 +27,6 @@ __all__ = [
     "Poly",
     "Rational",
     "SurfaceFamily",
-    "arith",
     "asymptotic_bde",
     "butterfly_points",
     "classify_monge",
@@ -51,7 +48,6 @@ __all__ = [
     "panel_scene",
     "parabolic_poly",
     "parse_poly",
-    "partial",
     "portrait",
     "resultant",
     "substitute",

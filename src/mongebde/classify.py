@@ -76,7 +76,7 @@ def _surface_poly(f: "SurfaceFamily | Poly", params: tuple = (0, 0)) -> tuple[Po
     else:
         # A bare Poly is an exact polynomial, not a truncated jet: every
         # coefficient beyond its degree really is zero.
-        g, trunc_deg = f, 10**9
+        g, trunc_deg = fix_params(f, params), 10**9
     # The classifier differentiates in x and y even when one of them is absent.
     return unify(g, Poly.zero(("x", "y")))[0], trunc_deg
 

@@ -381,32 +381,6 @@ def unify(*polys: Poly) -> tuple[Poly, ...]:
     return tuple(p.extend(vs) for p in polys)
 
 
-def arith(kind: str, p: Poly, q: "Poly | int") -> Poly:
-    """Strict arithmetic entry point: operands must share a varlist.
-
-    ``kind`` is one of add|sub|mul|pow; for pow, ``q`` is a nonnegative int.
-    """
-    if kind == "pow":
-        if not isinstance(q, int):
-            raise UsageError("pow takes an integer exponent")
-        return p**q
-    if not isinstance(q, Poly):
-        raise UsageError(f"{kind} takes two polynomials")
-    if p.varlist != q.varlist:
-        raise UsageError(f"mismatched varlists {p.varlist} vs {q.varlist}")
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise UsageError(f"unknown arithmetic kind {kind!r}")
-
-
-def partial(p: Poly, var: str) -> Poly:
-    return p.partial(var)
-
-
 def eta(p: Poly) -> Poly:
     """Directional derivative along x with slope v: eta(p) = p_x + v * p_y.
 

@@ -2,9 +2,9 @@
 
 Exact polynomials come in; floats come out.  Tracing is marching squares
 with Newton refinement of every crossing.  Singular points and cusps of
-Gauss are found by one batched damped Newton solver (``_newton2``) on two
-equations in (x, y), seeded on a grid and evaluated through shared power
-tables; singular points are classified by the Hessian (falling back to the
+Gauss and butterfly points are found by ``numeval.newton``, the one batched
+damped Newton solver, on a ``PolySystem`` seeded on a lattice over the
+window; singular points are classified by the Hessian (falling back to the
 cubic term in the kernel direction).  ``_FamilyCurves`` holds a family's
 exact parabolic and flecnodal equations, so callers that visit many
 parameter points (sweeps, panels) derive them once.
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import UsageError
 from .families import SurfaceFamily, family_library, fix_params
 from .flecnodal import FlecnodalSystem, flecnodal_system, parabolic_poly
-from .numeval import CompiledSystem, compile_gradient, compile_poly
+from .numeval import CompiledSystem, PolySystem, compile_poly, newton
 from .poly import Poly, unify
 
 Window = tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
@@ -103,10 +103,8 @@ def curve_singularities(
     # Degenerate roots of the gradient system (cusps) converge only
     # linearly, so allow many iterations; the loop exits early once every
     # seed has stalled or converged.
-    X, Y = _newton2(
-        (px, py, px.partial("x"), px.partial("y"), px.partial("y"), py.partial("y")),
-        window, grid, 300, SINGULAR_NEWTON_TOL,
-    )
+    Z = newton(PolySystem((px, py)), _lattice(window, grid), 300, SINGULAR_NEWTON_TOL)
+    X, Y = _in_window(window, 1e-9, *Z)
     v, vx, vy = CompiledSystem((p, px, py))(X, Y)
     grad = np.hypot(vx, vy)
     ok = (np.abs(v) <= SINGULAR_RESIDUAL_TOL) & (grad <= math.sqrt(SINGULAR_RESIDUAL_TOL))
@@ -185,7 +183,7 @@ def trace_zero_set(
     xs = np.linspace(xmin, xmax, resolution + 1)
     ys = np.linspace(ymin, ymax, resolution + 1)
     fp = compile_poly(p)
-    fx, fy = compile_gradient(p)
+    fx, fy = compile_poly(p.partial("x")), compile_poly(p.partial("y"))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     vals = fp(gx, gy)
 
@@ -389,7 +387,7 @@ def gauss_cusps(
 ) -> list:
     """Tangency points of the parabolic and flecnodal curves.
 
-    Solves {P = 0, grad P x grad S = 0} by ``_newton2`` (60 iterations,
+    Solves {P = 0, grad P x grad S = 0} by ``newton`` (60 iterations,
     no early exit) from a grid x grid seed lattice and keeps solutions
     lying on S as well (|S| small): ordinary or degenerate cusps of Gauss.
     P and S come from ``_cache`` when given, otherwise they are derived
@@ -405,10 +403,7 @@ def gauss_cusps(
     if S.is_zero():
         return []
     cross = P.partial("x") * S.partial("y") - P.partial("y") * S.partial("x")
-    X, Y = _newton2(
-        (P, cross, P.partial("x"), P.partial("y"), cross.partial("x"), cross.partial("y")),
-        window, grid, 60,
-    )
+    X, Y = _in_window(window, 1e-9, *newton(PolySystem((P, cross)), _lattice(window, grid), 60))
     vP, vc, vS = CompiledSystem((P, cross, S))(X, Y)
     ok = (np.abs(vP) <= CUSP_ON_CURVE_TOL) & (np.abs(vS) <= CUSP_ON_CURVE_TOL)
     ok &= np.abs(vc) <= CUSP_PARALLEL_TOL
@@ -416,39 +411,22 @@ def gauss_cusps(
     return [(float(x0), float(y0)) for x0, y0 in pts]
 
 
-def _newton2(system, window: Window, grid: int, iters: int, tol: float | None = None):
-    """Batched damped Newton for two equations in (x, y).
-
-    ``system`` is (r1, r2, dr1/dx, dr1/dy, dr2/dx, dr2/dy), all six
-    evaluated per step through one CompiledSystem.  Seeds form a
-    grid x grid lattice over the window.  A step longer than 1 is scaled
-    to length 1, and a seed whose Jacobian determinant is below 1e-300
-    stays put.  With ``tol`` the loop stops early once every step is
-    shorter than ``tol``; without it, it runs all ``iters`` iterations.
-    Returns (X, Y): the finite end points within 1e-9 of the window, in
-    seed order.
-    """
-    evaluate = CompiledSystem(system)
+def _lattice(window: Window, grid: int, *extra) -> tuple:
+    """Seeds on a grid x grid lattice over the window, times each ``extra``
+    axis: one flat array per coordinate, in ``np.meshgrid`` order."""
     xmin, xmax, ymin, ymax = window
-    gx, gy = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid))
-    X, Y = gx.ravel().copy(), gy.ravel().copy()
-    for _ in range(iters):
-        r1, r2, a, b, c, d = evaluate(X, Y)
-        det = a * d - b * c
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        dx = np.where(bad, 0.0, (d * r1 - b * r2) / det)
-        dy = np.where(bad, 0.0, (a * r2 - c * r1) / det)
-        step = np.hypot(dx, dy)
-        lim = np.maximum(1.0, step)  # damp huge steps
-        X -= dx / lim
-        Y -= dy / lim
-        if tol is not None and np.max(step) < tol:
-            break
-    pad = 1e-9
+    axes = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid), *extra)
+    return tuple(a.ravel() for a in axes)
+
+
+def _in_window(window: Window, pad: float, X, Y, *rest) -> tuple:
+    """The points with every coordinate finite and (x, y) within ``pad`` of
+    the window, one array per coordinate, in order."""
+    xmin, xmax, ymin, ymax = window
     ok = (X >= xmin - pad) & (X <= xmax + pad) & (Y >= ymin - pad) & (Y <= ymax + pad)
-    ok &= np.isfinite(X) & np.isfinite(Y)
-    return X[ok], Y[ok]
+    for z in (X, Y, *rest):
+        ok &= np.isfinite(z)
+    return tuple(z[ok] for z in (X, Y, *rest))
 
 
 def butterfly_points(
@@ -470,42 +448,14 @@ def butterfly_points(
             systems = [flecnodal_system(f, axis="x"), flecnodal_system(f, axis="y")]
     found = []
     for fs in systems:
-        eqs = [fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)]
-        Z = _newton3(eqs, window)
-        X, Y, V = (np.ascontiguousarray(Z[:, k]) for k in range(3))
+        system = PolySystem([fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)], ("x", "y", "v"))
+        seeds = _lattice(window, BUTTERFLY_GRID, np.linspace(-2.0, 2.0, BUTTERFLY_V_SEEDS))
+        X, Y, V = _in_window(window, 0.0, *newton(system, seeds, 60))
         ok = np.abs(V) <= BUTTERFLY_VMAX
-        for r in CompiledSystem(eqs, ("x", "y", "v"))(X, Y, V):
+        for r in system(X, Y, V)[0]:
             ok &= np.abs(r) <= BUTTERFLY_RESIDUAL_TOL
         found.append(np.column_stack([X[ok], Y[ok]]))
     return [(float(x0), float(y0)) for x0, y0 in _dedupe(np.vstack(found), DEDUPE_RADIUS)]
-
-
-def _newton3(eqs, window: Window, iters: int = 60):
-    eqs = list(unify(*eqs))
-    args = ("x", "y", "v")
-    jac = [e.partial(n) if n in e.varlist else Poly.zero(e.varlist) for e in eqs for n in args]
-    evaluate = CompiledSystem(eqs + jac, args)
-    xmin, xmax, ymin, ymax = window
-    gx, gy, gv = np.meshgrid(
-        np.linspace(xmin, xmax, BUTTERFLY_GRID),
-        np.linspace(ymin, ymax, BUTTERFLY_GRID),
-        np.linspace(-2.0, 2.0, BUTTERFLY_V_SEEDS),
-    )
-    Z = np.column_stack([gx.ravel(), gy.ravel(), gv.ravel()])
-    for _ in range(iters):
-        values = evaluate(Z[:, 0], Z[:, 1], Z[:, 2])
-        F = np.column_stack(values[:3])
-        J = np.stack(values[3:], axis=1).reshape(len(Z), 3, 3)
-        det = np.linalg.det(J)
-        bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        J[bad] = np.eye(3)
-        F[bad] = 0
-        step = np.linalg.solve(J, F[..., None])[..., 0]
-        lim = np.maximum(1.0, np.linalg.norm(step, axis=1))[:, None]
-        Z -= step / lim
-    ok = np.all(np.isfinite(Z), axis=1)
-    ok &= (Z[:, 0] >= xmin) & (Z[:, 0] <= xmax) & (Z[:, 1] >= ymin) & (Z[:, 1] <= ymax)
-    return Z[ok]
 
 
 def flecnodal_parametrization_check(t: float = -0.01, n_samples: int = 11) -> float:

@@ -9,7 +9,7 @@ from mongebde.classify import (
     normalize_parabolic,
 )
 from mongebde.errors import ClassificationError, InsufficientJetError, UsageError
-from mongebde.families import family_library, library_labels
+from mongebde.families import family_library, library_labels, surface
 from mongebde.poly import parse_poly
 
 
@@ -48,6 +48,14 @@ class TestNormalizeParabolic:
 class TestDecisionTree:
     def test_surface_without_y(self):
         assert classify("x^3") == classify_monge(parse_poly("x^3", ("x", "y")))
+
+    def test_bare_poly_fixes_params(self):
+        # The family's jet at t = -1/20, not at t = 0 (which is Pi_c2).
+        text = "y^2 + x^2*y + 1/4*x^4 + x^5 + t*x^3"
+        r = classify(text, params=(Fraction(-1, 20), 0))
+        assert (r.stratum, r.codimension) == ("Pi_I_stable", 1)
+        s = classify_monge(surface(text), (Fraction(-1, 20), 0))
+        assert (s.stratum, s.codimension) == (r.stratum, r.codimension)
 
     def test_stable_cusp(self):
         r = classify("y^2 + x^3 + x*y^3 + 5*x^4")

@@ -1,7 +1,9 @@
-"""Source hygiene: no module under src/mongebde imports a name it never uses,
-and every name the benchmark's tracer wraps exists."""
+"""Source hygiene: no module under src/mongebde imports a name it never uses
+or defines a private function or class that nothing else uses, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -60,6 +62,49 @@ def test_no_unused_imports_in_src():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _references(node) -> collections.Counter:
+    """Uses of each name under ``node``: bare names, attributes, imports."""
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """Module-level ``_name`` functions and classes that no code outside
+    their own body refers to, over all the given module sources."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _references(node)[node.name]
+    )
+
+
+def test_checker_flags_unreferenced_private_def():
+    sources = {
+        "a": "def _used():\n    return 1\n\ndef _dead():\n    return 2\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n\nclass _Orphan:\n    pass\n",
+        "b": "from .a import _used\n\ndef f():\n    return _used()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._Orphan", "a._dead", "a._recursive"]
+
+
+def test_no_unreferenced_private_defs_in_src():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_benchmark_tracer_targets_exist():
