@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--window", help="x0,x1,y0,y1")
         sp.add_argument("--grid", type=int, help="sweep grid size")
         sp.add_argument("--resolution", type=int, help="curve-trace resolution")
-        sp.add_argument("--axis", choices=("x", "y"), help="flecnodal chart axis")
         sp.add_argument("--out", help="output directory (default: stdout summary)")
         sp.add_argument("--locus", help="closed-form locus polynomial in t, u")
         sp.add_argument("--t", dest="t_range", help="sweep t range lo:hi")
@@ -75,8 +74,22 @@ def _build_parser() -> _Parser:
     return p
 
 
+#: The keys a config file may set: every flag but --config, with t and u
+#: for --t and --u.
+_CONFIG_KEYS = frozenset(
+    ("surface", "table2", "moduli", "signs", "params", "window", "grid",
+     "resolution", "out", "locus", "t", "u", "goldens")
+)
+
+
 def _make_config(args) -> JobConfig:
     raw = load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(
+            f"config {args.config}: unknown key {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(_CONFIG_KEYS))}"
+        )
 
     def pick(key, flag_value, convert=lambda v: v):
         if flag_value is not None and flag_value != []:
@@ -122,7 +135,6 @@ def _make_config(args) -> JobConfig:
             except ValueError as exc:
                 raise UsageError(f"bad {key} {value!r}: {exc}") from None
     for key, flag in (
-        ("axis", args.axis),
         ("out", args.out),
         ("locus", args.locus),
         ("goldens", args.goldens),
@@ -153,12 +165,7 @@ def _load_family(cfg: JobConfig) -> SurfaceFamily:
     if cfg.surface is not None:
         p = parse_poly(cfg.surface)
         vs = tuple(n for n in VARS if n in ("x", "y") or n in p.varlist)
-        fam = SurfaceFamily(f=p.extend(vs), trunc_deg=10**9)
-        if cfg.axis:
-            fam = SurfaceFamily(
-                f=fam.f, trunc_deg=fam.trunc_deg, projection_axis=cfg.axis
-            )
-        return fam
+        return SurfaceFamily(f=p.extend(vs), trunc_deg=10**9)
     return family_library(cfg.table2, cfg.moduli or None, cfg.signs or None)
 
 
@@ -188,7 +195,7 @@ def _trace_command(cfg: JobConfig, which: str) -> int:
     if which == "parabolic":
         poly = parabolic_poly(fam)
     else:
-        poly = flecnodal_system(fam, axis=cfg.axis).eliminant
+        poly = flecnodal_system(fam).eliminant
     traced = trace_zero_set(poly, cfg.window, cfg.resolution, _params(cfg))
     _write(cfg, "report.json", report_json({
         "command": which,

@@ -44,7 +44,6 @@ class JobConfig:
     window: tuple = (-0.5, 0.5, -0.5, 0.5)
     grid: int = MAX_GRID
     resolution: int = 128
-    axis: str | None = None
     out: str | None = None
     locus: str | None = None  # closed-form locus polynomial text
     t_range: tuple = (-0.1, 0.1)
@@ -74,8 +73,6 @@ class JobConfig:
             )
         if self.grid > MAX_GRID:
             raise UsageError(f"grid {self.grid} exceeds the maximum {MAX_GRID}")
-        if self.axis not in (None, "x", "y"):
-            raise UsageError("axis must be 'x' or 'y'")
 
 
 def _finite(value) -> bool:

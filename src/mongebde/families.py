@@ -13,8 +13,6 @@ from typing import Mapping
 from .errors import UsageError
 from .poly import Poly, parse_poly, substitute
 
-Axis = str  # "x" or "y"
-
 
 @dataclass(frozen=True)
 class SurfaceFamily:
@@ -29,23 +27,16 @@ class SurfaceFamily:
     trunc_deg: int = 6
     label: str | None = None
     moduli: Mapping[str, Fraction] = field(default_factory=dict)
-    projection_axis: Axis = "x"
 
     def __post_init__(self):
         if self.trunc_deg < 2:
             raise UsageError("trunc_deg must be at least 2")
-        if self.projection_axis not in ("x", "y"):
-            raise UsageError("projection_axis must be 'x' or 'y'")
         f = self.f
         zero = Poly.zero(f.varlist)
         origin = {n: zero for n in ("x", "y") if n in f.varlist}
         for g in (f, f.partial("x"), f.partial("y")):
             if origin and not substitute(g, origin).is_zero():
                 raise UsageError("family must vanish to second order at the origin")
-
-    @property
-    def n_params(self) -> int:
-        return sum(1 for n in ("t", "u") if n in self.f.varlist)
 
 
 def fix_params(p: Poly, params=(0, 0)) -> Poly:
@@ -70,15 +61,15 @@ def _as_fraction(value) -> Fraction:
         raise UsageError(f"parameter {value!r} is not a finite number") from None
 
 
-def surface(text: str, trunc_deg: int = 6, axis: Axis = "x") -> SurfaceFamily:
+def surface(text: str, trunc_deg: int = 6) -> SurfaceFamily:
     """Parse an inline Monge form / family from polynomial text."""
-    return SurfaceFamily(f=parse_poly(text), trunc_deg=trunc_deg, projection_axis=axis)
+    return SurfaceFamily(f=parse_poly(text), trunc_deg=trunc_deg)
 
 
 # -- Table of deformation families ----------------------------------------
 #
 # Each entry: template text with moduli placeholders, default moduli,
-# constraint checker, projection axis.
+# constraint checker.
 
 _F = Fraction
 
@@ -113,28 +104,24 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^2*y + 1/4*x^4 + {alpha}*x^5 + t*x^3",
         moduli={"alpha": _F(1)},
         check=_nonzero("alpha"),
-        axis="x",
         trunc_deg=5,
     ),
     "Pi_c3+": dict(
         template="y^2 + x^2*y + 1/4*x^4 + {gamma}*x^4*y + t*x^3 + u*x^4",
         moduli={"gamma": _F(1)},
         check=_nonzero("gamma"),
-        axis="x",
         trunc_deg=6,
     ),
     "Pi_c3-": dict(
         template="y^2 + x^2*y + 1/4*x^4 + {gamma}*x^4*y + t*x^3 + u*x^4",
         moduli={"gamma": _F(-1)},
         check=_nonzero("gamma"),
-        axis="x",
         trunc_deg=6,
     ),
     "Pi_v1++": dict(
         template="y^2 + x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(1)},
         check=_pi_v1_constraint("+"),
-        axis="x",
         trunc_deg=4,
         expect_sign="+",
     ),
@@ -142,7 +129,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(-1)},
         check=_pi_v1_constraint("+"),
-        axis="x",
         trunc_deg=4,
         expect_sign="-",
     ),
@@ -150,7 +136,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + -1*x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(1)},
         check=_pi_v1_constraint("-"),
-        axis="x",
         trunc_deg=4,
         expect_sign="+",
     ),
@@ -158,7 +143,6 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + -1*x^4 + {alpha}*x^3*y + {beta}*x^2*y^2 + t*x^2",
         moduli={"alpha": _F(0), "beta": _F(-1)},
         check=_pi_v1_constraint("-"),
-        axis="x",
         trunc_deg=4,
         expect_sign="-",
     ),
@@ -169,7 +153,6 @@ _LIBRARY: dict[str, dict] = {
         ),
         moduli={"alpha": _F(0), "gamma": _F(1)},
         check=_nonzero("gamma"),
-        axis="x",
         trunc_deg=5,
         derived={"beta22": lambda m: _F(3, 8) * m["alpha"] ** 2},
     ),
@@ -180,7 +163,6 @@ _LIBRARY: dict[str, dict] = {
         ),
         moduli={"alpha": _F(0), "gamma": _F(1)},
         check=_nonzero("gamma"),
-        axis="x",
         trunc_deg=5,
         derived={"beta22": lambda m: -_F(3, 8) * m["alpha"] ** 2},
     ),
@@ -188,35 +170,30 @@ _LIBRARY: dict[str, dict] = {
         template="y^2 + x^5 + {gamma}*x^3*y + t*x^2 + u*x^2*y",
         moduli={"gamma": _F(1)},
         check=_nonzero("gamma"),
-        axis="x",
         trunc_deg=5,
     ),
     "Pi_f1+": dict(
         template="x*y^2 + x^3 + {alpha}*x^3*y + {beta}*y^4 + t*x^2",
         moduli={"alpha": _F(1), "beta": _F(0)},
         check=lambda m: {},
-        axis="x",
         trunc_deg=4,
     ),
     "Pi_f1-": dict(
         template="x*y^2 + -1*x^3 + {alpha}*x^3*y + {beta}*y^4 + t*x^2",
         moduli={"alpha": _F(1), "beta": _F(0)},
         check=lambda m: {},
-        axis="x",
         trunc_deg=4,
     ),
     "Pi_f2+": dict(
         template="x*y^2 + x^4 + y^4 + {alpha}*x^3*y + t*x^2 + u*x^3",
         moduli={"alpha": _F(0)},
         check=lambda m: {},
-        axis="y",
         trunc_deg=4,
     ),
     "Pi_f2-": dict(
         template="x*y^2 + x^4 + -1*y^4 + {alpha}*x^3*y + t*x^2 + u*x^3",
         moduli={"alpha": _F(0)},
         check=lambda m: {},
-        axis="y",
         trunc_deg=4,
     ),
 }
@@ -307,7 +284,6 @@ def family_library(
         trunc_deg=entry["trunc_deg"],
         label=canon,
         moduli=mods,
-        projection_axis=entry["axis"],
     )
 
 

@@ -1,23 +1,24 @@
 """Flecnodal and parabolic curve equations from higher-order contact.
 
 The flecnodal curve collects points where an asymptotic direction has
-contact of order >= 4 with the surface.  Writing the contact function of
-the projection along the chosen axis with direction slope v, the
-conditions are e2 = e3 = 0; eliminating v with a resultant gives one
-polynomial equation in (x, y) (parameters ride along).  e4 enters only at
-deeper degenerations (butterfly points, e2 = e3 = e4 = 0).
+contact of order >= 4 with the surface.  A direction is a point (v : w) of
+the projective line, so the contact conditions are binary forms in
+(v, w): e2 = 0 (asymptotic) and e3 = 0 (contact >= 4), with e4 = 0 only at
+deeper degenerations (butterfly points, e2 = e3 = e4 = 0).  Their
+resultant with the formal degrees (2, 3) eliminates the direction without
+choosing a chart and gives one polynomial equation in (x, y) (parameters
+ride along).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bde import asymptotic_bde, discriminant
 from .errors import UsageError
 from .families import SurfaceFamily
-from .poly import _VAR_INDEX, Poly, eta, normalize_primitive, resultant, substitute, unify
+from .poly import _VAR_INDEX, Poly, normalize_primitive, resultant, substitute, unify
 
 
 def _as_family(f: "SurfaceFamily | Poly") -> SurfaceFamily:
@@ -26,69 +27,42 @@ def _as_family(f: "SurfaceFamily | Poly") -> SurfaceFamily:
     return SurfaceFamily(f=f)
 
 
-def _eta_for_axis(axis: str):
-    if axis == "x":
-        return eta  # d/dx + v d/dy
-    def eta_y(p: Poly) -> Poly:
-        v = Poly.var("v", p.varlist) if "v" in p.varlist else None
-        if v is None:
-            raise UsageError("eta needs v in the varlist")
-        return v * p.partial("x") + p.partial("y")
-    return eta_y
-
-
 @dataclass(frozen=True)
 class FlecnodalSystem:
-    """Contact functions of a one-axis projection and their eliminant."""
+    """Contact forms along the direction (v, w) and their eliminant."""
 
-    axis: str
-    lam: Poly        # w - df along the axis; zero set is the contact set
-    e2: Poly         # second-order contact: -(quadratic form along (1, v))
-    e3: Poly         # third-order contact
-    e4: Poly         # fourth-order contact (butterfly condition)
-    eliminant: Poly  # Res_v(e2, e3), primitive-normalized (or zero): the flecnodal curve
+    e2: Poly         # second-order contact: -(c v^2 + 2b v w + a w^2)
+    e3: Poly         # third-order contact: D e2, with D = v d/dx + w d/dy
+    e4: Poly         # fourth-order contact (butterfly condition): D e3
+    eliminant: Poly  # Res(e2, e3) of the forms, primitive-normalized (or zero): the flecnodal curve
 
 
-def flecnodal_system(f: "SurfaceFamily | Poly", axis: str | None = None) -> FlecnodalSystem:
-    """Contact system of the projection along ``axis`` (family default).
+def flecnodal_system(f: "SurfaceFamily | Poly") -> FlecnodalSystem:
+    """Contact forms of degrees 2, 3, 4 in the direction (v, w), and the
+    flecnodal eliminant.
 
-    Warns when the chosen axis is not an asymptotic direction at the
-    origin, since the v-chart then misses the flecnodal branch tangent to
-    the other axis.
+    The eliminant is the resultant in v of e2 and e3 at w = 1 with the
+    formal degrees (2, 3), so a direction (1 : 0) that is asymptotic with
+    higher contact is kept even though it has no finite slope.
     """
-    fam = _as_family(f)
-    axis = axis or fam.projection_axis
-    if axis not in ("x", "y"):
-        raise UsageError("axis must be 'x' or 'y'")
-    g = fam.f
+    g = _as_family(f).f
     bde = asymptotic_bde(g)
-    a, b, c = bde.a, bde.b, bde.c
-    along_axis = c if axis == "x" else a
-    value = along_axis.eval_rational({n: 0 for n in along_axis.varlist})
-    if value != 0:
-        warnings.warn(
-            f"projection axis {axis!r} is not asymptotic at the origin; "
-            "the flecnodal eliminant may miss a branch",
-            stacklevel=2,
-        )
     need = tuple(sorted(set(g.varlist) | {"x", "y", "v", "w"}, key=_VAR_INDEX.__getitem__))
-    gx = g.extend(need)
+    a, b, c = (p.extend(need) for p in (bde.a, bde.b, bde.c))
     v = Poly.var("v", need)
     w = Poly.var("w", need)
-    eta_axis = _eta_for_axis(axis)
-    a2, b2, c2 = (p.extend(need) for p in (a, b, c))
-    if axis == "x":
-        lam = w - gx.partial("x") - v * gx.partial("y")
-        e2 = -(c2 + b2.scale(2) * v + a2 * v * v)
-    else:
-        lam = w - gx.partial("y") - v * gx.partial("x")
-        e2 = -(a2 + b2.scale(2) * v + c2 * v * v)
-    e3 = eta_axis(e2)
-    e4 = eta_axis(e3)
-    elim = resultant(e2, e3, "v")
+
+    def along(p: Poly) -> Poly:
+        return v * p.partial("x") + w * p.partial("y")
+
+    e2 = -(c * v * v + b.scale(2) * v * w + a * w * w)
+    e3 = along(e2)
+    e4 = along(e3)
+    chart = {"w": Poly.const(1)}
+    elim = resultant(substitute(e2, chart), substitute(e3, chart), "v", degrees=(2, 3))
     if not elim.is_zero():  # zero: no flecnodal curve (e.g. elliptic surfaces)
         elim = normalize_primitive(elim)
-    return FlecnodalSystem(axis=axis, lam=lam, e2=e2, e3=e3, e4=e4, eliminant=elim)
+    return FlecnodalSystem(e2=e2, e3=e3, e4=e4, eliminant=elim)
 
 
 def graph_series(curve: Poly, max_deg: int, solve_for: str = "y") -> Poly:

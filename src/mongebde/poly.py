@@ -597,7 +597,7 @@ def divexact(p: Poly, d: Poly) -> Poly:
     return Poly._make(p.varlist, {pack.unpack(e): c * factor for e, c in quo.items()})
 
 
-def resultant(p: Poly, q: Poly, var: str) -> Poly:
+def resultant(p: Poly, q: Poly, var: str, degrees: tuple[int, int] | None = None) -> Poly:
     """Sylvester resultant of p and q with respect to ``var``.
 
     If exactly one operand has degree 0 in ``var`` the degenerate
@@ -609,11 +609,22 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
     row, and ``_bareiss_det`` computes the determinant over the integers.
     Dividing it by L_p ** deg_var(q) * L_q ** deg_var(p), the product of
     the row scales, gives the resultant of p and q.
+
+    ``degrees=(m, n)`` fixes the formal degrees instead of the actual
+    ones: the Sylvester matrix has size m + n, and vanishing leading
+    coefficients are allowed.  This is the resultant of the binary forms of
+    degrees m and n that p and q dehomogenize (Cox, Little & O'Shea,
+    *Using Algebraic Geometry*, ch. 3 section 2).  Degrees below the actual
+    ones are a usage error.
     """
     p, q = unify(p, q)
     if var not in p.varlist:
         raise UsageError(f"variable {var!r} not in varlist {p.varlist}")
     m, n = p.degree(var), q.degree(var)
+    if degrees is not None:
+        if degrees[0] < m or degrees[1] < n:
+            raise UsageError(f"formal degrees {degrees} below the actual {(m, n)} in {var!r}")
+        m, n = degrees
     if m == 0 and n == 0:
         raise UsageError(f"both operands have degree 0 in {var!r}")
     rest = tuple(name for name in p.varlist if name != var)

@@ -4,16 +4,16 @@ Exact polynomials come in; floats come out.  Tracing is marching squares
 with Newton refinement of every crossing.  Singular points and cusps of
 Gauss and butterfly points are found by ``numeval.newton``, the one batched
 damped Newton solver, on a ``PolySystem`` seeded on a lattice over the
-window; singular points are classified by the Hessian (falling back to the
-cubic term in the kernel direction).  ``_FamilyCurves`` holds a family's
-exact parabolic and flecnodal equations, so callers that visit many
-parameter points (sweeps, panels) derive them once.
+window, times the circle of directions for butterflies; singular points
+are classified by the Hessian (falling back to the cubic term in the
+kernel direction).  ``_FamilyCurves`` holds a family's exact parabolic and
+flecnodal equations, so callers that visit many parameter points (sweeps,
+panels) derive them once.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +42,11 @@ REFINE_TOL = 1e-9
 CUSP_ON_CURVE_TOL = 1e-8
 CUSP_PARALLEL_TOL = 1e-8
 #: Butterfly points: a BUTTERFLY_GRID^2 lattice of (x, y) seeds times
-#: BUTTERFLY_V_SEEDS direction seeds in [-2, 2]; a solution is kept when
-#: |v| <= BUTTERFLY_VMAX and |e2|, |e3|, |e4| <= BUTTERFLY_RESIDUAL_TOL.
+#: BUTTERFLY_V_SEEDS unit directions at angles evenly spaced on [0, pi); a
+#: solution is kept when every residual of its system is at most
+#: BUTTERFLY_RESIDUAL_TOL.
 BUTTERFLY_GRID = 10
 BUTTERFLY_V_SEEDS = 9
-BUTTERFLY_VMAX = 10.0
 BUTTERFLY_RESIDUAL_TOL = 1e-9
 
 
@@ -396,9 +396,7 @@ def gauss_cusps(
     """
     fam = f if isinstance(f, SurfaceFamily) else SurfaceFamily(f=f)
     if _cache is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _cache = _FamilyCurves(fam)
+        _cache = _FamilyCurves(fam)
     P, S = unify(*(_in_xy(fix_params(q, params)) for q in (_cache.parabolic, _cache.flecnodal)))
     if S.is_zero():
         return []
@@ -413,7 +411,7 @@ def gauss_cusps(
 
 def _lattice(window: Window, grid: int, *extra) -> tuple:
     """Seeds on a grid x grid lattice over the window, times each ``extra``
-    axis: one flat array per coordinate, in ``np.meshgrid`` order."""
+    array of values: one flat array per coordinate, in ``np.meshgrid`` order."""
     xmin, xmax, ymin, ymax = window
     axes = np.meshgrid(np.linspace(xmin, xmax, grid), np.linspace(ymin, ymax, grid), *extra)
     return tuple(a.ravel() for a in axes)
@@ -436,26 +434,20 @@ def butterfly_points(
 ) -> list:
     """Points of 5-point contact: common zeros of e2 = e3 = e4.
 
-    A SurfaceFamily is solved in both direction charts (x- and y-axis
-    projections) and results merged, so directions with |v| beyond the
-    chart bound are not lost.
+    The direction (v, w) is kept on the unit circle, so one system
+    {e2, e3, e4, v^2 + w^2 - 1} in (x, y, v, w) covers every direction
+    without a chart.
     """
-    if isinstance(f, FlecnodalSystem):
-        systems = [f]
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            systems = [flecnodal_system(f, axis="x"), flecnodal_system(f, axis="y")]
-    found = []
-    for fs in systems:
-        system = PolySystem([fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)], ("x", "y", "v"))
-        seeds = _lattice(window, BUTTERFLY_GRID, np.linspace(-2.0, 2.0, BUTTERFLY_V_SEEDS))
-        X, Y, V = _in_window(window, 0.0, *newton(system, seeds, 60))
-        ok = np.abs(V) <= BUTTERFLY_VMAX
-        for r in system(X, Y, V)[0]:
-            ok &= np.abs(r) <= BUTTERFLY_RESIDUAL_TOL
-        found.append(np.column_stack([X[ok], Y[ok]]))
-    return [(float(x0), float(y0)) for x0, y0 in _dedupe(np.vstack(found), DEDUPE_RADIUS)]
+    fs = f if isinstance(f, FlecnodalSystem) else flecnodal_system(f)
+    v, w = Poly.var("v", ("v", "w")), Poly.var("w", ("v", "w"))
+    polys = [fix_params(e, params) for e in (fs.e2, fs.e3, fs.e4)] + [v * v + w * w - 1]
+    system = PolySystem(polys, ("x", "y", "v", "w"))
+    angles = np.linspace(0.0, np.pi, BUTTERFLY_V_SEEDS, endpoint=False)
+    X, Y, angle = _lattice(window, BUTTERFLY_GRID, angles)
+    X, Y, V, W = _in_window(window, 0.0, *newton(system, (X, Y, np.cos(angle), np.sin(angle)), 60))
+    ok = np.all(np.abs(system(X, Y, V, W)[0]) <= BUTTERFLY_RESIDUAL_TOL, axis=0)
+    pts = _dedupe(np.column_stack([X[ok], Y[ok]]), DEDUPE_RADIUS)
+    return [(float(x0), float(y0)) for x0, y0 in pts]
 
 
 def flecnodal_parametrization_check(t: float = -0.01, n_samples: int = 11) -> float:

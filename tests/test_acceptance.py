@@ -7,7 +7,6 @@ pass/fail line under ``pytest -v``.
 
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -92,9 +91,7 @@ class TestExactCurvePolynomials:
         )
 
     def test_flecnodal_flat_umbilic_cone_plus_is_the_y_axis(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            s = flecnodal_system(family_library("Pi_f1+"), axis="y").eliminant
+        s = flecnodal_system(family_library("Pi_f1+")).eliminant
         assert substitute(s, {"x": Poly.zero(s.varlist)}).is_zero()
         cof = at_zero_params(divexact(s, Poly.var("x", s.varlist)))
         assert normalize_primitive(cof.truncate(2)).same_poly(parse_poly("x^2 + y^2"))

@@ -149,7 +149,7 @@ class TestDecisionTree:
 class TestInsufficientJet:
     def test_needs_degree_five(self):
         fam = family_library("Pi_v3")
-        shallow = type(fam)(f=fam.f, trunc_deg=4, projection_axis="x")
+        shallow = type(fam)(f=fam.f, trunc_deg=4)
         with pytest.raises(InsufficientJetError) as e:
             classify_monge(shallow)
         assert e.value.needed_degree == 5

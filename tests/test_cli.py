@@ -230,5 +230,17 @@ class TestArtifacts:
         assert run(["parabolic", "--config", str(cfg)]) == 0
         assert (tmp_path / "o" / "curves.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("axis", "y"), ("resolutoin", "64")])
+    @pytest.mark.parametrize("fmt", ["flat", "json"])
+    def test_unknown_config_key(self, tmp_path, capsys, key, value, fmt):
+        cfg = tmp_path / "job.cfg"
+        if fmt == "flat":
+            cfg.write_text(f"table2 = Pi_c2\n{key} = {value}\n")
+        else:
+            cfg.write_text(json.dumps({"table2": "Pi_c2", key: value}))
+        assert run(["classify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
     def test_unreadable_config(self, capsys):
         assert run(["classify", "--config", "/nonexistent/file.cfg"]) == 2

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mongebde.families import family_library, surface
+from mongebde.families import SurfaceFamily, family_library, library_labels, surface
 from mongebde.flecnodal import (
     flecnodal_system,
     graph_series,
@@ -31,22 +31,32 @@ def at_zero_params(p):
 
 class TestContactSystem:
     def test_e2_is_second_fundamental_form_along_direction(self):
-        sysx = flecnodal_system(surface("y^2 + x^3"))
-        # a=2, b=0, c=6x: e2 = -(6x + 2v^2)
-        assert sysx.e2.same_poly(parse_poly("-6*x + -2*v^2"))
-        assert sysx.e3.same_poly(parse_poly("-6"))
-
-    def test_lambda_gradient_structure(self):
-        sysx = flecnodal_system(surface("y^2 + x^3"))
-        assert sysx.lam.same_poly(parse_poly("w + -3*x^2 + -2*v*y"))
-
-    def test_axis_warning(self):
-        with pytest.warns(UserWarning):
-            flecnodal_system(surface("y^2 + x^3"), axis="y")
+        sys_ = flecnodal_system(surface("y^2 + x^3"))
+        # a=2, b=0, c=6x: e2 = -(6x v^2 + 2w^2), e3 = D e2, e4 = D e3
+        assert sys_.e2.same_poly(parse_poly("-6*x*v^2 + -2*w^2"))
+        assert sys_.e3.same_poly(parse_poly("-6*v^3"))
+        assert sys_.e4.is_zero()
 
     def test_y_axis_chart(self):
-        sysy = flecnodal_system(surface("x^2 + y^3"), axis="y")
-        assert sysy.e2.same_poly(parse_poly("-6*y + -2*v^2"))
+        # The asymptotic direction at the origin is the y-axis, (0 : 1); the
+        # forms need no chart for it.  a=6y, b=0, c=2.
+        sys_ = flecnodal_system(surface("x^2 + y^3"))
+        assert sys_.e2.same_poly(parse_poly("-2*v^2 + -6*y*w^2"))
+        assert sys_.e3.same_poly(parse_poly("-6*w^3"))
+
+
+def swap_xy(p):
+    return substitute(p, {"x": Poly.var("y", p.varlist), "y": Poly.var("x", p.varlist)})
+
+
+class TestChartSwap:
+    @pytest.mark.parametrize("label", library_labels())
+    def test_eliminant(self, label):
+        # The flecnodal curve of f(y, x) is that of f(x, y) with x, y
+        # swapped: no direction is privileged.
+        fam = family_library(label)
+        swapped = flecnodal_system(SurfaceFamily(f=swap_xy(fam.f))).eliminant
+        assert norm(swap_xy(swapped)).same_poly(flecnodal_system(fam).eliminant)
 
 
 class TestParabolicGoldens:
@@ -101,12 +111,7 @@ class TestFlecnodalGoldens:
         )
 
     def test_f1_plus_is_the_y_axis(self):
-        import warnings
-
-        fam = family_library("Pi_f1+")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            s = flecnodal_system(fam, axis="y").eliminant
+        s = flecnodal_system(family_library("Pi_f1+")).eliminant
         # x divides the eliminant; the cofactor has no real points near 0.
         zero = Poly.zero(s.varlist)
         assert substitute(s, {"x": zero}).is_zero()
@@ -117,12 +122,7 @@ class TestFlecnodalGoldens:
         assert two_jet.same_poly(parse_poly("x^2 + y^2"))
 
     def test_f1_minus_contains_y_axis_branch(self):
-        import warnings
-
-        fam = family_library("Pi_f1-")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            s = flecnodal_system(fam, axis="y").eliminant
+        s = flecnodal_system(family_library("Pi_f1-")).eliminant
         zero = Poly.zero(s.varlist)
         assert substitute(s, {"x": zero}).is_zero()
 

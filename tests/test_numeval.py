@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +102,8 @@ def test_newton_tol_stops_early():
 
 
 # float.hex of the solvers' points, recorded before the solvers shared
-# PolySystem and newton.  A change to any of these bits must be deliberate.
+# PolySystem and newton, and Pi_v3's butterflies once they were solved on
+# the circle of directions.  A change to any of these bits must be deliberate.
 PINNED = {
     ("Pi_f2+", (Fraction(1, 100), Fraction(1, 10))): {
         "parabolic": [],
@@ -119,8 +119,8 @@ PINNED = {
         "flecnodal": [(("0x0.0p+0", "0x0.0p+0"), "node")],
         "cusps": [("-0x1.40774565e54f8p-4", "-0x1.038e56b43fbe7p-4")],
         "butterflies": [
-            ("0x1.4661d949eaf57p-6", "0x1.041258c127094p-9"),
-            ("-0x1.490105f9ca2c2p-6", "0x1.084444da2d95ep-9"),
+            ("-0x1.490105f9ca2c2p-6", "0x1.084444da2d961p-9"),
+            ("0x1.4661d949eaf57p-6", "0x1.041258c127097p-9"),
         ],
     },
     ("Pi_c2", (Fraction(-1, 20), Fraction(0))): {
@@ -138,9 +138,7 @@ PINNED = {
 @pytest.mark.parametrize("label, params", list(PINNED), ids=[label for label, _ in PINNED])
 def test_solver_points_pinned(label, params):
     fam = family_library(label)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        curves = {"parabolic": parabolic_poly(fam), "flecnodal": flecnodal_system(fam).eliminant}
+    curves = {"parabolic": parabolic_poly(fam), "flecnodal": flecnodal_system(fam).eliminant}
     got = {
         name: [((x.hex(), y.hex()), tag) for (x, y), tag in curve_singularities(p, params=params)]
         for name, p in curves.items()

@@ -126,6 +126,34 @@ class TestResultant:
         b = P("v^2 + -1*v*x + 2*v + -2*x", ("x", "v"))
         assert resultant(a, b, "v").is_zero()
 
+    @pytest.mark.parametrize("surface", ["y^2 + x^3", "x*y^2 + x^3"])
+    def test_formal_degrees(self, surface):
+        # The x-chart contact forms p = -(c + 2b v + a v^2) and q = eta(p):
+        # q's v^3 coefficient f_yyy vanishes, and with it the lower ones
+        # for y^2 + x^3.  The Sylvester matrix of the formal degrees (2, 3)
+        # gains a factor lc_v(p) per missing degree.
+        f = P(surface, ("x", "y", "v"))
+        fxx, fxy, fyy = (f.partial(a).partial(b) for a, b in ("xx", "xy", "yy"))
+        v = Poly.var("v", f.varlist)
+        p = -(fxx + fxy.scale(2) * v + fyy * v * v)
+        q = eta(p)
+        assert q.degree("v") < 3
+        want = p.coeffs_in("v")[2] ** (3 - q.degree("v")) * resultant(p, q, "v")
+        assert resultant(p, q, "v", degrees=(2, 3)) in (want, -want)
+
+    def test_formal_degrees_at_the_actual_degrees(self):
+        a = P("v^2 + -1*x", ("x", "v"))
+        b = P("x*v^3 + v + -1", ("x", "v"))
+        assert resultant(a, b, "v", degrees=(2, 3)) == resultant(a, b, "v")
+        assert resultant(b, a, "v", degrees=(3, 2)) == resultant(b, a, "v")
+
+    def test_formal_degrees_below_the_actual_ones_rejected(self):
+        a = P("v^2 + -1*x", ("x", "v"))
+        b = P("x*v^3 + v + -1", ("x", "v"))
+        for degrees in ((1, 3), (2, 2), (0, 0)):
+            with pytest.raises(UsageError):
+                resultant(a, b, "v", degrees=degrees)
+
     def test_point_roots(self):
         # v^2 - x and v - 1 share a root in v exactly where x = 1.
         a = P("v^2 + -1*x", ("x", "v"))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from mongebde.errors import UsageError
-from mongebde.families import family_library
+from mongebde.families import SurfaceFamily, family_library
 from mongebde.flecnodal import flecnodal_system, parabolic_poly
 from mongebde.numeval import compile_poly
-from mongebde.poly import Poly, parse_poly
+from mongebde.poly import Poly, parse_poly, substitute
 from mongebde.trace import (
     _dedupe,
     butterfly_points,
@@ -89,8 +89,7 @@ class TestTraceZeroSet:
         assert tc.n_branches() == 0
 
     def test_elliptic_flecnodal_curve_is_empty(self):
-        with pytest.warns(UserWarning):
-            s = flecnodal_system(parse_poly("x^2 + y^2")).eliminant
+        s = flecnodal_system(parse_poly("x^2 + y^2")).eliminant
         assert s.is_zero()
         tc = trace_zero_set(s, resolution=16)
         assert tc.n_branches() == 0 and tc.special_points == []
@@ -177,6 +176,18 @@ class TestGaussCusps:
 
 
 class TestButterflies:
+    @pytest.mark.parametrize(
+        "label, params", [("Pi_v3", (Fraction(-1, 100), 0)), ("Pi_c2", (Fraction(-1, 20), 0))]
+    )
+    def test_chart_swap(self, label, params):
+        # The butterflies of f(y, x) are those of f(x, y) with x, y swapped.
+        f = family_library(label).f
+        swapped = substitute(f, {"x": Poly.var("y", f.varlist), "y": Poly.var("x", f.varlist)})
+        want = sorted((y0, x0) for x0, y0 in butterfly_points(family_library(label), params=params))
+        got = sorted(butterfly_points(SurfaceFamily(f=swapped), params=params))
+        assert want and len(got) == len(want)
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+
     def test_v1_empty(self):
         assert butterfly_points(family_library("Pi_v1++"), params=(Fraction(-1, 20), 0)) == []
 
@@ -192,8 +203,8 @@ class TestButterflies:
         pts = butterfly_points(family_library("Pi_v3"), params=(Fraction(-1, 100), 0))
         assert len(pts) == 2
         assert all(type(c) is float for pt in pts for c in pt)
-        sysx = flecnodal_system(family_library("Pi_v3"), axis="x")
-        elim = fix_params(sysx.eliminant, (Fraction(-1, 100), 0))
+        elim = flecnodal_system(family_library("Pi_v3")).eliminant
+        elim = fix_params(elim, (Fraction(-1, 100), 0))
         f = compile_poly(elim.extend(("x", "y")))
         for x0, y0 in pts:
             assert abs(f(x0, y0)) < 1e-6  # butterflies lie on the flecnodal curve
